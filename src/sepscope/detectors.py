@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .graphs import Graph, are_isomorphic, bits, mask_of, popcount, set_of
+from .graphs import Graph, are_isomorphic, bits, mask_of, set_of
 from .families import FamilySpec, StructureWitness, skinny_ladder, verify_witness
 
 VertexSet = Tuple[int, ...]
@@ -257,7 +257,7 @@ def find_induced_minor(
             else:
                 allowed &= ~g.nbhd_mask(m)
         # only u is confined to allowed; later sets draw from free again
-        if not allowed or popcount(free) < len(horder) - idx:
+        if not allowed or free.bit_count() < len(horder) - idx:
             return None
         seen: Set[int] = set()
         for s in _connected_subsets(g, allowed, seen):
@@ -350,78 +350,82 @@ def _contract_pair(g: Graph, u: int, v: int) -> Graph:
 
 
 def find_creature(g: Graph, k: int, budget: int = 100_000_000) -> SearchVerdict:
-    """Exhaustive k-creature search.
+    """Exhaustive k-creature search that prunes every partial row.
 
-    Candidate (X, Y) rows are disjoint edge k-subsets with per-edge
-    orientations (the first edge's orientation is fixed; flipping every pair
-    and swapping A with B is a symmetry).  For each row pair satisfying the
-    i = j matching clause, A is grown as a connected subset of
-    V - (X + Y + N[Y]), stopping as soon as it dominates X: if no component
-    of the B-region of a minimal dominating A covers Y, no larger A can work,
-    since shrinking A only enlarges the B-region.  B is then a full component
-    of V - (X + Y + N[X] + N[A]) that dominates Y.
+    Rows are built one (x_i, y_i) pair at a time from the edges in sorted
+    order; only the first pair's orientation is fixed, since flipping every
+    pair and swapping A with B is a symmetry.  Each placed pair is a node; a
+    cross edge x_i y_j to an earlier pair rejects it at once.  A partial row is
+    dropped when one of these holds; adding a pair only grows X, Y, N(X) and
+    N(Y), so a failed check stays failed for every completion:
+
+    - fewer than 2(k - placed) + 2 vertices lie outside X + Y + (N(X) & N(Y)),
+      the room the later pairs, A and B still need (a common neighbour of X
+      and Y can be none of them; n < 2k + 2 thus costs no node);
+    - no component of G[V - (X + Y + N[Y])] dominates X, though the connected
+      A must lie in one;
+    - no component of G[V - (X + Y + N[X])] dominates Y, likewise for B.
+
+    At a full row A grows as a connected subset of the dominating components
+    from each anchor in N(x_1) (every A meets it), avoiding the anchors
+    already tried, and stops once it dominates X: if then no component of the
+    B-region covers Y, no larger A can work, since growing A only shrinks the
+    B-region.  B is a component of that B-region that dominates Y.
     """
     if k < 1:
         raise ValueError("creature order must be at least 1")
     full = g.full_mask()
     edges = sorted(g.edges())
+    nbr = [g.nbr_mask(v) for v in range(g.n)]
+    xs: List[int] = []
+    ys: List[int] = []
     nodes = 0
 
-    def disjoint_edge_subsets(start: int, used: int, acc: List[Tuple[int, int]]):
-        if len(acc) == k:
-            yield list(acc)
-            return
+    def dominating(region: int, row: List[int]) -> int:
+        """Union of the components of G[region] that touch N(v) for each v in row."""
+        return sum(c for c in g.components_masks(region) if all(nbr[v] & c for v in row))
+
+    def place(start: int, xm: int, ym: int, nx: int, ny: int) -> Optional[Tuple[int, int]]:
+        nonlocal nodes
+        if (full & ~(xm | ym | (nx & ny))).bit_count() < 2 * (k - len(xs)) + 2:
+            return None
+        region_a = dominating(full & ~(xm | ym | ny), xs)
+        region_b = dominating(full & ~(xm | ym | nx), ys)
+        if not (region_a and region_b):
+            return None
+        if len(xs) == k:
+            got, nodes = _creature_ab(g, xs, ys, region_a, region_b, nodes, budget)
+            return got
         for idx in range(start, len(edges)):
             u, v = edges[idx]
-            if used >> u & 1 or used >> v & 1:
+            if (xm | ym) & (1 << u | 1 << v):
                 continue
-            acc.append((u, v))
-            yield from disjoint_edge_subsets(idx + 1, used | 1 << u | 1 << v, acc)
-            acc.pop()
-
-    try:
-        for combo in disjoint_edge_subsets(0, 0, []):
-            for orient in range(1 << (k - 1)):
+            for x, y in ((u, v), (v, u)) if xs else ((u, v),):
                 nodes += 1
                 if nodes > budget:
                     raise BudgetExceeded
-                xs, ys = [], []
-                for i, (u, v) in enumerate(combo):
-                    flip = (orient >> (i - 1) & 1) if i > 0 else 0
-                    xs.append(v if flip else u)
-                    ys.append(u if flip else v)
-                if any(
-                    g.has_edge(xs[i], ys[j])
-                    for i in range(k)
-                    for j in range(k)
-                    if i != j
-                ):
+                if nbr[x] & ym or nbr[y] & xm:
                     continue
-                xm, ym = mask_of(xs), mask_of(ys)
-                ny = 0
-                for y in ys:
-                    ny |= g.nbr_mask(y)
-                nx = 0
-                for x in xs:
-                    nx |= g.nbr_mask(x)
-                region_a = full & ~(xm | ym | ny)
-                region_b = full & ~(xm | ym | nx)
-                if any(not (g.nbr_mask(x) & region_a) for x in xs):
-                    continue
-                if any(not (g.nbr_mask(y) & region_b) for y in ys):
-                    continue
-                got, nodes = _creature_ab(g, xs, ys, region_a, region_b, nodes, budget)
+                xs.append(x)
+                ys.append(y)
+                got = place(idx + 1, xm | 1 << x, ym | 1 << y, nx | nbr[x], ny | nbr[y])
                 if got is not None:
-                    w = CreatureWitness(
-                        set_of(got[0]), set_of(got[1]), tuple(xs), tuple(ys), k
-                    )
-                    bad = validate_creature(g, w)
-                    if bad:
-                        raise AssertionError(f"search produced invalid creature: {bad}")
-                    return SearchVerdict(FOUND, w, nodes)
+                    return got
+                xs.pop()
+                ys.pop()
+        return None
+
+    try:
+        got = place(0, 0, 0, 0, 0)
     except BudgetExceeded:
         return SearchVerdict(UNKNOWN, None, nodes)
-    return SearchVerdict(ABSENT, None, nodes)
+    if got is None:
+        return SearchVerdict(ABSENT, None, nodes)
+    w = CreatureWitness(set_of(got[0]), set_of(got[1]), tuple(xs), tuple(ys), k)
+    bad = validate_creature(g, w)
+    if bad:
+        raise AssertionError(f"search produced invalid creature: {bad}")
+    return SearchVerdict(FOUND, w, nodes)
 
 
 def _creature_ab(
@@ -438,14 +442,12 @@ def _creature_ab(
 
     def b_for(amask: int) -> Optional[int]:
         region = region_b & ~(g.nbhd_mask(amask) | amask)
-        for comp in g.components_masks(region):
-            if all(req & comp for req in yneed):
-                return comp
-        return None
+        return next((c for c in g.components_masks(region) if all(r & c for r in yneed)), None)
 
     seen: Set[int] = set()
-    for root in bits(region_a):
-        stack = [1 << root]
+    allowed = region_a
+    for anchor in bits(xneed[0] & region_a):
+        stack = [1 << anchor]
         while stack:
             amask = stack.pop()
             if amask in seen:
@@ -459,10 +461,8 @@ def _creature_ab(
                 if comp is not None:
                     return (amask, comp), nodes
                 continue  # growing a dominating A never helps
-            grow = g.nbhd_mask(amask) & region_a
-            for v in bits(grow):
-                if v > root:
-                    stack.append(amask | (1 << v))
+            stack.extend(amask | 1 << v for v in bits(g.nbhd_mask(amask) & allowed))
+        allowed &= ~(1 << anchor)
     return None, nodes
 
 

@@ -37,10 +37,6 @@ def set_of(mask: int) -> Tuple[int, ...]:
     return tuple(bits(mask))
 
 
-def popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 class Graph:
     """Simple undirected graph, immutable after construction.
 
@@ -408,7 +404,7 @@ def fingerprint(g: Graph) -> Tuple:
     colors = refine_colors(g)
     tri = 0
     for u, v in g.edges():
-        tri += popcount(g.nbr_mask(u) & g.nbr_mask(v))
+        tri += (g.nbr_mask(u) & g.nbr_mask(v)).bit_count()
     return (g.n, g.m, tri // 3, tuple(sorted(colors)))
 
 

@@ -27,7 +27,6 @@ from .graphs import (
     bits,
     induced_subgraph,
     mask_of,
-    popcount,
     set_of,
 )
 
@@ -406,7 +405,7 @@ def domination_number(
     while un:
         bc, bgain = None, 0
         for c, m in cov:
-            gain = popcount(m & un)
+            gain = (m & un).bit_count()
             if gain > bgain:
                 bc, bgain = c, gain
         greedy.append(bc)
@@ -417,7 +416,7 @@ def domination_number(
     dominators: Dict[int, List[int]] = {
         t: [c for c, m in cov if m >> t & 1] for t in bits(tmask)
     }
-    maxcov = max(popcount(m) for _, m in cov)
+    maxcov = max(m.bit_count() for _, m in cov)
     nodes = 0
 
     def bnb(uncovered: int, chosen: List[int], start_excluded: frozenset) -> None:
@@ -430,7 +429,7 @@ def domination_number(
                 best_size = len(chosen)
                 best_set = tuple(sorted(chosen))
             return
-        lower = len(chosen) + (popcount(uncovered) + maxcov - 1) // maxcov
+        lower = len(chosen) + (uncovered.bit_count() + maxcov - 1) // maxcov
         if lower >= best_size:
             return
         # branch on the uncovered vertex with fewest dominators
@@ -635,11 +634,11 @@ def enumerate_branching(
             res = frozenset((0,))
             memo[key] = res
             return res
-        xsize = popcount(xmask)
+        xsize = xmask.bit_count()
         qmask = 0
         for v in bits(wmask):
             nvx = ((nbr[v] & wmask) | (1 << v)) & xmask
-            if 2 * k * popcount(nvx) >= xsize:
+            if 2 * k * nvx.bit_count() >= xsize:
                 qmask |= 1 << v
         out = {0, qmask}
         # rule 1

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -67,6 +68,75 @@ def test_find_creature_budget_gives_unknown():
     verdict = find_creature(g, 3, budget=50)
     assert verdict.status == UNKNOWN
     assert verdict.witness is None
+
+
+def test_twisted_ladder_5_creature_proof_node_accounting():
+    g, _ = twisted_ladder(3)
+    verdict = find_creature(g, 5)
+    assert verdict.status == ABSENT and verdict.nodes_explored < 100_000
+    nodes = verdict.nodes_explored
+    assert find_creature(g, 5, budget=nodes).status == ABSENT
+    assert find_creature(g, 5, budget=nodes - 1).status == UNKNOWN
+
+
+def test_too_few_vertices_cost_no_node():
+    # a 3-creature needs 8 vertices; skinny_ladder(2) has 6
+    g, _ = skinny_ladder(2)
+    verdict = find_creature(g, 3)
+    assert verdict.status == ABSENT and verdict.nodes_explored == 0
+
+
+def brute_force_creature_order(g):
+    """Largest k with a k-creature, from the definition and adjacency alone.
+
+    Every pair of disjoint, connected, anti-complete sets (A, B) is tried.
+    X can only use vertices with a neighbour in A and none in B, Y the
+    reverse; the order is the largest induced matching between the two.
+    """
+    nbrs = [set(g.neighbors(v)) for v in range(g.n)]
+
+    def connected(s):
+        start = next(iter(s))
+        seen, todo = {start}, [start]
+        while todo:
+            for w in nbrs[todo.pop()] & s - seen:
+                seen.add(w)
+                todo.append(w)
+        return seen == s
+
+    def induced_matching(pairs, chosen=()):
+        best = len(chosen)
+        for i, (x, y) in enumerate(pairs):
+            if all(y not in nbrs[a] and b not in nbrs[x] for a, b in chosen):
+                rest = [(a, b) for a, b in pairs[i + 1:] if a != x and b != y]
+                best = max(best, induced_matching(rest, chosen + ((x, y),)))
+        return best
+
+    subsets = [
+        s
+        for size in range(1, g.n + 1)
+        for s in map(set, itertools.combinations(range(g.n), size))
+        if connected(s)
+    ]
+    best = 0
+    for a in subsets:
+        na = set().union(*(nbrs[v] for v in a)) - a
+        for b in subsets:
+            nb = set().union(*(nbrs[v] for v in b)) - b
+            if a & b or na & b:
+                continue
+            xs, ys = na - nb, nb - na
+            pairs = [(x, y) for x in sorted(xs) for y in sorted(ys) if y in nbrs[x]]
+            best = max(best, induced_matching(pairs))
+    return best
+
+
+def test_max_creature_order_matches_brute_force():
+    rng = random.Random(2020)
+    graphs = [g for n in range(1, 7) for g in nonisomorphic_graphs(n)]
+    graphs += [erdos_renyi(7, rng.choice((0.3, 0.45, 0.6)), rng) for _ in range(30)]
+    for g in graphs:
+        assert max_creature_order(g, cap=3) == min(brute_force_creature_order(g), 3), g.edges()
 
 
 def test_validate_creature_catches_corruption():
