@@ -12,7 +12,6 @@ from .graphs import (
     canonical_form,
     components,
     contract_edge,
-    contract_path,
     contract_set,
     disjoint_union,
     format_edge_list,
@@ -63,7 +62,6 @@ from .detectors import (
     extract_skinny_ladder,
     find_creature,
     find_induced_minor,
-    find_induced_minor_by_contraction,
     find_induced_subgraph,
     longest_induced_cycle_at_least,
     max_creature_order,

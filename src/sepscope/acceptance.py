@@ -352,7 +352,7 @@ CRITERIA: Tuple[Callable[[], Row], ...] = (
 )
 
 
-def run_all(name_filter: Optional[str] = None, threads: int = 1) -> List[Row]:
+def run_all(name_filter: Optional[str] = None) -> List[Row]:
     picked = []
     for fn in CRITERIA:
         label = fn.__name__.replace("criterion_", "")
@@ -363,12 +363,4 @@ def run_all(name_filter: Optional[str] = None, threads: int = 1) -> List[Row]:
             if name_filter.lower() not in (fn.__doc__ or "").lower():
                 continue
         picked.append(fn)
-    if threads > 1 and len(picked) > 1:
-        # warm the shared caches sequentially so concurrent criteria do not
-        # duplicate the big corpus scans
-        _corpus(8), _oracle_lists(8), _creature_orders(8)
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda fn: fn(), picked))
     return [fn() for fn in picked]

@@ -21,7 +21,6 @@ The feral direction never relies on sampling: it returns one concrete
 instance that avoids every member, checked exhaustively.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 import random
@@ -300,7 +299,6 @@ def classify(
     sample: int = 64,
     max_instances: int = 30000,
     budget: int = 10_000_000,
-    threads: int = 1,
 ) -> ClassificationVerdict:
     """Scan k = 3..k_max for a witness that hh forbids all seven types.
 
@@ -309,9 +307,6 @@ def classify(
     the seven already certified).  Miss at k_max with a concrete avoiding
     representative: feral with that instance as evidence.  Otherwise
     inconclusive (budget gaps).
-
-    threads > 1 fans the seven per-type scans of each k over a pool; every
-    scan is independent, so the verdict and evidence match the sequential run.
     """
     if k_max < 3:
         raise ValueError("k_max must be at least 3")
@@ -336,14 +331,10 @@ def classify(
 
     final_row: Dict[str, dict] = {}
     for k in range(3, k_max + 1):
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                outs = list(pool.map(lambda t: probe(t, k), QUASI_TAME_TYPES))
-        else:
-            outs = [probe(t, k) for t in QUASI_TAME_TYPES]
         row: Dict[str, dict] = {}
         all_forbidden = True
-        for t, (ok, ev) in zip(QUASI_TAME_TYPES, outs):
+        for t in QUASI_TAME_TYPES:
+            ok, ev = probe(t, k)
             row[t] = ev
             if ok is not True:
                 all_forbidden = False

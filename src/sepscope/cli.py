@@ -5,9 +5,9 @@ Every subcommand assembles the same report envelope:
     {"command": ..., "inputs": {path: sha256}, "config": {...},
      "results": {...}, "elapsed_ms": ..., "complete": ...}
 
-dumped with sorted keys so single-threaded runs are byte-identical for
-identical inputs.  Detection outcomes are data, not errors: found, absent
-and budget-exhausted all exit 0; only unusable inputs exit nonzero.
+dumped with sorted keys so runs are byte-identical for identical inputs.
+Detection outcomes are data, not errors: found, absent and
+budget-exhausted all exit 0; only unusable inputs exit nonzero.
 --stable-output zeroes elapsed_ms for diff-friendly golden files.
 """
 
@@ -18,7 +18,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import acceptance
 from .classifier import ForbiddenFamily, classify
@@ -37,7 +37,6 @@ from .separators import (
     enumerate_branching,
     enumerate_closure,
     enumerate_oracle,
-    result_doc,
 )
 
 
@@ -87,6 +86,28 @@ def _emit(report: Dict, args, default_stdout: bool = True) -> None:
         Path(args.out).write_text(text + "\n")
     if args.json or (default_stdout and not args.out):
         print(text)
+
+
+def result_doc(
+    g: Graph,
+    algorithm: str,
+    separators: Sequence[Tuple[int, ...]],
+    elapsed_ms: int,
+    complete: bool,
+    **extra,
+) -> dict:
+    """The `results` block of an enum report."""
+    doc = {
+        "n": g.n,
+        "m": g.m,
+        "algorithm": algorithm,
+        "separators": [list(s) for s in sorted(separators)],
+        "count": len(separators),
+        "elapsed_ms": int(elapsed_ms),
+        "complete": bool(complete),
+    }
+    doc.update(extra)
+    return doc
 
 
 def _witness_json(w) -> Optional[Dict]:
@@ -226,7 +247,7 @@ def cmd_enum(args) -> int:
                          complete, **extra)
     report = _report(
         "enum", [args.graph],
-        {"algo": args.algo, "k": args.k, "budget": budget, "threads": args.threads},
+        {"algo": args.algo, "k": args.k, "budget": budget},
         results, complete, elapsed, args.stable_output,
     )
     _emit(report, args)
@@ -241,7 +262,7 @@ def cmd_enum(args) -> int:
 def cmd_detect(args) -> int:
     g = _load_graph(args.graph)
     started = time.monotonic()
-    config: Dict = {"kind": args.kind, "threads": args.threads}
+    config: Dict = {"kind": args.kind}
     inputs = [args.graph]
     if args.kind == "creature":
         if args.k is None:
@@ -304,7 +325,6 @@ def cmd_classify(args) -> int:
             k_max=args.kmax,
             length_cap=args.length_cap,
             seed=args.seed,
-            threads=args.threads,
             budget=budget,
         )
     except ValueError as exc:
@@ -313,7 +333,7 @@ def cmd_classify(args) -> int:
     report = _report(
         "classify", paths,
         {"kmax": args.kmax, "length_cap": args.length_cap, "seed": args.seed,
-         "budget": budget, "threads": args.threads},
+         "budget": budget},
         verdict.as_dict(), verdict.status != "inconclusive", elapsed,
         args.stable_output,
     )
@@ -328,7 +348,7 @@ def cmd_classify(args) -> int:
 
 def cmd_verify(args) -> int:
     started = time.monotonic()
-    rows = acceptance.run_all(args.filter, threads=args.threads)
+    rows = acceptance.run_all(args.filter)
     elapsed = int((time.monotonic() - started) * 1000)
     if not rows:
         raise CliError(f"no acceptance criterion matches filter {args.filter!r}")
@@ -337,7 +357,7 @@ def cmd_verify(args) -> int:
     failed = [name for name, ok, _ in rows if not ok]
     report = _report(
         "verify", [],
-        {"filter": args.filter, "threads": args.threads},
+        {"filter": args.filter},
         {"criteria": [{"name": n, "ok": ok, "detail": d} for n, ok, d in rows],
          "failed": failed},
         not failed, elapsed, args.stable_output,
@@ -363,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="print the JSON report to stdout")
         p.add_argument("--stable-output", action="store_true",
                        help="zero elapsed_ms for byte-stable reports")
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("gen", help="generate a named family instance")
     p.add_argument("family", help="family name, e.g. theta or skinny-ladder")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .graphs import Graph, are_isomorphic, bits, mask_of, set_of
+from .graphs import Graph, bits, mask_of, set_of
 from .families import FamilySpec, StructureWitness, skinny_ladder, verify_witness
 
 VertexSet = Tuple[int, ...]
@@ -284,64 +284,6 @@ def find_induced_minor(
     if bad:
         raise AssertionError(f"search produced invalid minor witness: {bad}")
     return SearchVerdict(FOUND, w, nodes)
-
-
-def find_induced_minor_by_contraction(
-    g: Graph, h: Graph, budget: int = 2_000_000, cap: int = 10
-) -> SearchVerdict:
-    """Cross-check route: breadth-first delete/contract with isomorphism dedup.
-
-    No witness; used to confirm the branch-set search on small instances.
-    """
-    if g.n > cap:
-        raise ValueError(f"contraction search capped at n <= {cap}")
-    from .graphs import canonical_form
-
-    nodes = 0
-    layer = {canonical_form(g): g}
-    size = g.n
-    while size >= h.n:
-        for cur in layer.values():
-            nodes += 1
-            if nodes > budget:
-                return SearchVerdict(UNKNOWN, None, nodes)
-            if cur.n == h.n and are_isomorphic(cur, h):
-                return SearchVerdict(FOUND, None, nodes)
-        if size == h.n:
-            break
-        nxt: Dict[tuple, Graph] = {}
-        for cur in layer.values():
-            if cur.m < h.m:
-                continue
-            for v in range(cur.n):
-                child = _delete_vertex(cur, v)
-                nxt.setdefault(canonical_form(child), child)
-            for u, v in cur.edges():
-                child = _contract_pair(cur, u, v)
-                nxt.setdefault(canonical_form(child), child)
-        layer = nxt
-        size -= 1
-    return SearchVerdict(ABSENT, None, nodes)
-
-
-def _delete_vertex(g: Graph, v: int) -> Graph:
-    keep = [u for u in range(g.n) if u != v]
-    pos = {u: i for i, u in enumerate(keep)}
-    return Graph(g.n - 1, [(pos[a], pos[b]) for a, b in g.edges() if a != v and b != v])
-
-
-def _contract_pair(g: Graph, u: int, v: int) -> Graph:
-    keep = [w for w in range(g.n) if w != v]
-    pos = {w: i for i, w in enumerate(keep)}
-    es = set()
-    for a, b in g.edges():
-        a2 = u if a == v else a
-        b2 = u if b == v else b
-        if a2 == b2:
-            continue
-        x, y = pos[a2], pos[b2]
-        es.add((min(x, y), max(x, y)))
-    return Graph(g.n - 1, sorted(es))
 
 
 # ---------------------------------------------------------------------------

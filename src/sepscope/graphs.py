@@ -37,6 +37,26 @@ def set_of(mask: int) -> Tuple[int, ...]:
     return tuple(bits(mask))
 
 
+def flood(nbr: Sequence[int], seed: int, within: int) -> Tuple[int, int]:
+    """Flood fill from the seed mask inside the graph induced on `within`.
+
+    nbr[v] is the neighbour mask of v; seed must lie inside within.  Returns
+    (comp, reach): comp is the component of the seed in G[within] and reach
+    is the OR of the neighbour masks of comp's vertices, so reach & ~comp is
+    N(comp) in G.
+    """
+    comp = frontier = seed
+    reach = 0
+    while frontier:
+        while frontier:
+            b = frontier & -frontier
+            reach |= nbr[b.bit_length() - 1]
+            frontier ^= b
+        frontier = reach & within & ~comp
+        comp |= frontier
+    return comp, reach
+
+
 class Graph:
     """Simple undirected graph, immutable after construction.
 
@@ -114,37 +134,15 @@ class Graph:
         vertex.
         """
         rem = self.full_mask() if within is None else within
-        nbr = self._nbr
         out = []
         while rem:
-            seed = rem & -rem
-            comp = seed
-            frontier = seed
-            while frontier:
-                nb = 0
-                for v in bits(frontier):
-                    nb |= nbr[v]
-                frontier = nb & rem & ~comp
-                comp |= frontier
+            comp = flood(self._nbr, rem & -rem, rem)[0]
             out.append(comp)
             rem &= ~comp
         return out
 
     def is_connected_mask(self, within: int) -> bool:
-        if within == 0:
-            return False
-        rem = within
-        seed = rem & -rem
-        comp = seed
-        frontier = seed
-        nbr = self._nbr
-        while frontier:
-            nb = 0
-            for v in bits(frontier):
-                nb |= nbr[v]
-            frontier = nb & rem & ~comp
-            comp |= frontier
-        return comp == within
+        return within != 0 and flood(self._nbr, within & -within, within)[0] == within
 
     def is_connected(self) -> bool:
         if self.n == 0:
@@ -264,11 +262,6 @@ def contract_set(g: Graph, vs: Iterable[int]) -> Tuple[Graph, Contraction]:
             edges.add((min(nu, nv), max(nu, nv)))
     h = Graph(len(new_order), sorted(edges))
     return h, Contraction(set_of(vmask), idx[rep], Relabeling(mapping))
-
-
-def contract_path(g: Graph, path: Sequence[int]) -> Tuple[Graph, Contraction]:
-    """Contract the vertices of `path` to a point (connectedness is checked)."""
-    return contract_set(g, path)
 
 
 def contract_edge(g: Graph, u: int, v: int) -> Tuple[Graph, Contraction]:

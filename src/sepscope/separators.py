@@ -25,6 +25,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 from .graphs import (
     Graph,
     bits,
+    flood,
     induced_subgraph,
     mask_of,
     set_of,
@@ -44,26 +45,11 @@ class CapExceeded(RuntimeError):
 
 def _full_component_masks(g: Graph, smask: int) -> List[int]:
     """Components of g-S whose open neighborhood is exactly S."""
-    nbr = g._nbr
-    rem = g.full_mask() & ~smask
     out = []
-    r = rem
+    r = g.full_mask() & ~smask
     while r:
-        seed = r & -r
-        comp = seed
-        acc = 0
-        frontier = seed
-        while frontier:
-            nb = 0
-            f = frontier
-            while f:
-                b = f & -f
-                nb |= nbr[b.bit_length() - 1]
-                f ^= b
-            acc |= nb
-            frontier = nb & rem & ~comp
-            comp |= frontier
-        if acc & smask == smask:
+        comp, reach = flood(g._nbr, r & -r, r)
+        if reach & smask == smask:
             out.append(comp)
         r &= ~comp
     return out
@@ -102,13 +88,9 @@ class SeparatorRecord:
         if tuple(fulls) != self.full_component_list:
             raise ValueError("full component list does not match the graph")
         if self.witness_pair is not None:
-            u, v = self.witness_pair
-            cu = _component_of(g, u, smask)
-            cv = _component_of(g, v, smask)
-            if cu is None or cv is None or cu == cv:
-                raise ValueError("witness pair not separated")
-            if g.nbhd_mask(cu) != smask or g.nbhd_mask(cv) != smask:
-                raise ValueError("witness components are not full")
+            fault = _uv_separator_fault(g, smask, *self.witness_pair)
+            if fault:
+                raise ValueError(f"witness pair: {fault}")
 
 
 def make_separator_record(
@@ -125,17 +107,25 @@ def _component_of(g: Graph, v: int, smask: int) -> Optional[int]:
     """Mask of v's component in g-S, or None if v is in S."""
     if smask >> v & 1:
         return None
-    rem = g.full_mask() & ~smask
-    comp = 1 << v
-    frontier = comp
-    nbr = g._nbr
-    while frontier:
-        nb = 0
-        for u in bits(frontier):
-            nb |= nbr[u]
-        frontier = nb & rem & ~comp
-        comp |= frontier
-    return comp
+    return flood(g._nbr, 1 << v, g.full_mask() & ~smask)[0]
+
+
+def _uv_separator_fault(g: Graph, smask: int, u: int, v: int) -> Optional[str]:
+    """Why S is not a minimal u,v-separator, or None when it is one.
+
+    S is one when u and v lie outside S, in different components of g-S,
+    and both components are S-full.
+    """
+    if smask >> u & 1 or smask >> v & 1:
+        return "separator may not contain u or v"
+    rest = g.full_mask() & ~smask
+    cu, reach_u = flood(g._nbr, 1 << u, rest)
+    if cu >> v & 1:
+        return "set does not separate u from v"
+    cv, reach_v = flood(g._nbr, 1 << v, rest)
+    if reach_u & ~cu != smask or reach_v & ~cv != smask:
+        return "not a minimal u,v-separator"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -150,34 +140,16 @@ def _min_sep_masks_in(nbr: Sequence[int], wmask: int) -> List[int]:
     while s:
         smask = s
         s = (s - 1) & wmask
-        rem = wmask ^ smask
-        if not rem:
-            continue
+        r = wmask ^ smask
         fulls = 0
-        r = rem
         while r:
-            seed = r & -r
-            comp = seed
-            acc = 0
-            frontier = seed
-            while frontier:
-                nb = 0
-                f = frontier
-                while f:
-                    b = f & -f
-                    nb |= nbr[b.bit_length() - 1]
-                    f ^= b
-                nb &= wmask
-                acc |= nb
-                frontier = nb & rem & ~comp
-                comp |= frontier
-            if acc & smask == smask:
+            comp, reach = flood(nbr, r & -r, r)
+            if reach & smask == smask:
                 fulls += 1
                 if fulls == 2:
+                    out.append(smask)
                     break
             r &= ~comp
-        if fulls >= 2:
-            out.append(smask)
     return out
 
 
@@ -258,41 +230,22 @@ def separator_leq(g: Graph, s1: Iterable[int], s2: Iterable[int], u: int, v: int
     component of g-s1 is contained in the u-side component of g-s2."""
     m1, m2 = mask_of(s1), mask_of(s2)
     for m in (m1, m2):
-        _require_min_uv_separator(g, m, u, v)
+        fault = _uv_separator_fault(g, m, u, v)
+        if fault:
+            raise ValueError(fault)
     c1 = _component_of(g, u, m1)
     c2 = _component_of(g, u, m2)
     assert c1 is not None and c2 is not None
     return c1 & ~c2 == 0
 
 
-def _require_min_uv_separator(g: Graph, smask: int, u: int, v: int) -> None:
-    if smask >> u & 1 or smask >> v & 1:
-        raise ValueError("separator may not contain u or v")
-    cu = _component_of(g, u, smask)
-    cv = _component_of(g, v, smask)
-    assert cu is not None and cv is not None
-    if cu == cv:
-        raise ValueError("set does not separate u from v")
-    if g.nbhd_mask(cu) != smask or g.nbhd_mask(cv) != smask:
-        raise ValueError("not a minimal u,v-separator")
-
-
 def minimal_uv_separators(
     g: Graph, u: int, v: int, separators: Iterable[VertexSet]
 ) -> List[VertexSet]:
     """Filter a separator list down to the minimal u,v-separators."""
-    out = []
-    for s in separators:
-        smask = mask_of(s)
-        if smask >> u & 1 or smask >> v & 1:
-            continue
-        cu = _component_of(g, u, smask)
-        cv = _component_of(g, v, smask)
-        if cu == cv:
-            continue
-        if g.nbhd_mask(cu) == smask and g.nbhd_mask(cv) == smask:
-            out.append(tuple(s))
-    return sorted(out)
+    return sorted(
+        tuple(s) for s in separators if _uv_separator_fault(g, mask_of(s), u, v) is None
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -676,29 +629,3 @@ def enumerate_branching(
         k=k,
         complete=not truncated,
     )
-
-
-# ---------------------------------------------------------------------------
-# result document (the JSON shape the CLI emits)
-# ---------------------------------------------------------------------------
-
-
-def result_doc(
-    g: Graph,
-    algorithm: str,
-    separators: Sequence[VertexSet],
-    elapsed_ms: int,
-    complete: bool,
-    **extra,
-) -> dict:
-    doc = {
-        "n": g.n,
-        "m": g.m,
-        "algorithm": algorithm,
-        "separators": [list(s) for s in sorted(separators)],
-        "count": len(separators),
-        "elapsed_ms": int(elapsed_ms),
-        "complete": bool(complete),
-    }
-    doc.update(extra)
-    return doc

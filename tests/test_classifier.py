@@ -94,12 +94,6 @@ def test_classify_k3_claw_is_tame():
     assert verdict.evidence["clique"]["complete_member_size"] == 3
 
 
-def test_classify_threads_match_sequential():
-    a = classify(ForbiddenFamily((P3,)))
-    b = classify(ForbiddenFamily((P3,)), threads=3)
-    assert a.as_dict() == b.as_dict()
-
-
 def test_classify_rejects_small_kmax():
     with pytest.raises(ValueError):
         classify(ForbiddenFamily((P3,)), k_max=2)

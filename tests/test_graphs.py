@@ -9,7 +9,6 @@ from sepscope.graphs import (
     canonical_form,
     components,
     contract_edge,
-    contract_path,
     contract_set,
     disjoint_union,
     dominates,
@@ -68,6 +67,30 @@ def test_components():
     assert components(g, within=(0, 2, 3)) == [(0,), (2, 3)]
 
 
+def test_components_masks_split_within():
+    assert not Graph(3, [(0, 1)]).is_connected_mask(0)
+    rng = random.Random(77)
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        g = random_graph(n, rng.choice((0.1, 0.25, 0.4)), rng)
+        within = rng.getrandbits(n)
+        comps = g.components_masks(within)
+        assert [c & -c for c in comps] == sorted(c & -c for c in comps)
+        union = 0
+        for c in comps:
+            assert c and not c & union
+            union |= c
+            assert g.nbhd_mask(c) & within == 0
+            # connected, checked by growing one vertex at a time
+            grown = c & -c
+            while grown != c:
+                step = g.nbhd_mask(grown) & c
+                assert step, (g.edges(), within, c)
+                grown |= step & -step
+        assert union == within
+        assert g.is_connected_mask(within) == (len(comps) == 1)
+
+
 def test_neighborhood_open_and_closed():
     g = path(5)
     assert neighborhood(g, (2,)) == (1, 3)
@@ -109,11 +132,7 @@ def test_contract_set_requires_connected():
     assert h.n == 3 and sorted(h.edges()) == [(0, 1), (1, 2)]
     with pytest.raises(GraphError):
         contract_set(g, (0, 4))
-
-
-def test_contract_path_chain():
-    g = path(6)
-    h, _ = contract_path(g, (2, 3))
+    h, _ = contract_set(path(6), (2, 3))
     assert h.n == 5 and are_isomorphic(h, path(5))
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from sepscope.corpus import erdos_renyi, nonisomorphic_graphs
+from sepscope.cli import result_doc
 from sepscope.graphs import Graph
 from sepscope.separators import (
     CapExceeded,
@@ -15,7 +16,6 @@ from sepscope.separators import (
     is_minimal_separator,
     make_separator_record,
     minimal_uv_separators,
-    result_doc,
     separator_leq,
     shattered_set_max,
     trace_family,
@@ -88,6 +88,13 @@ def test_closure_matches_oracle_exhaustively_n6():
     for n in range(1, 7):
         for g in nonisomorphic_graphs(n):
             assert enumerate_closure(g) == enumerate_oracle(g)
+
+
+def test_closure_matches_oracle_on_disconnected_graphs_n7():
+    graphs = [g for n in range(1, 8) for g in nonisomorphic_graphs(n) if not g.is_connected()]
+    assert len(graphs) == 256
+    for g in graphs:
+        assert enumerate_closure(g) == enumerate_oracle(g), g.edges()
 
 
 def test_branching_filters_to_oracle():
