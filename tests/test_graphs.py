@@ -132,6 +132,9 @@ def test_contract_set_requires_connected():
     assert h.n == 3 and sorted(h.edges()) == [(0, 1), (1, 2)]
     with pytest.raises(GraphError):
         contract_set(g, (0, 4))
+
+
+def test_contract_path_chain():
     h, _ = contract_set(path(6), (2, 3))
     assert h.n == 5 and are_isomorphic(h, path(5))
 
