@@ -30,7 +30,6 @@ from .separators import (
     TraceFamily,
     close_separator,
     domination_number,
-    dominating_path_decomposition,
     enumerate_branching,
     enumerate_closure,
     enumerate_oracle,

@@ -28,7 +28,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .detectors import FOUND, UNKNOWN, find_induced_subgraph
 from .families import (
-    StructureWitness,
     claw,
     ladder_theta,
     ladder_prism,

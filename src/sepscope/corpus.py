@@ -8,7 +8,7 @@ the known sequence (all graphs: 1, 2, 4, 11, 34, 156, 1044, 12346).
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List
 
 from .graphs import Graph, are_isomorphic, fingerprint
 

@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .graphs import Graph, disjoint_union, mask_of, set_of
+from .graphs import Graph, disjoint_union
 
 VertexSet = Tuple[int, ...]
 

@@ -9,27 +9,23 @@ Three independent enumeration routes live here:
 * enumerate_oracle: brute force over every vertex subset.  Slow, obviously
   correct; the reference the other routes are judged against.
 * enumerate_closure: seed with neighborhoods of components around each
-  closed vertex neighborhood, then close under the separator expansion step.
+  closed vertex neighborhood, then close under the separator expansion step
+  (Berry, Bordat and Cogis, IJFCS 2000).
 * enumerate_branching: the recursive trace-guided branching procedure for
   graphs whose minimal separators are dominated by k vertices.  Returns a
   superset before filtering; the filtered view equals the oracle on inputs
-  satisfying the domination hypothesis.
+  satisfying the domination hypothesis.  Its traces come from the closure
+  run on each induced subgraph G[W]; the oracle stays the independent
+  reference that closure and branching are tested against.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .graphs import (
-    Graph,
-    bits,
-    flood,
-    induced_subgraph,
-    mask_of,
-    set_of,
-)
+from .graphs import Graph, bits, flood, mask_of, set_of
 
 VertexSet = Tuple[int, ...]
 
@@ -63,11 +59,25 @@ def full_components(g: Graph, s: Iterable[int]) -> List[VertexSet]:
     return [set_of(c) for c in _full_component_masks(g, smask)]
 
 
+def _is_min_sep_in(nbr: Sequence[int], wmask: int, smask: int) -> bool:
+    """True when G[wmask] - S has two S-full components; S lies inside wmask."""
+    r = wmask & ~smask
+    fulls = 0
+    while r:
+        comp, reach = flood(nbr, r & -r, r)
+        if reach & smask == smask:
+            fulls += 1
+            if fulls == 2:
+                return True
+        r &= ~comp
+    return False
+
+
 def is_minimal_separator(g: Graph, s: Iterable[int]) -> bool:
     smask = mask_of(s)
     if smask == 0 or smask & ~g.full_mask():
         return False
-    return len(_full_component_masks(g, smask)) >= 2
+    return _is_min_sep_in(g._nbr, g.full_mask(), smask)
 
 
 @dataclass(frozen=True)
@@ -138,18 +148,9 @@ def _min_sep_masks_in(nbr: Sequence[int], wmask: int) -> List[int]:
     out = []
     s = wmask
     while s:
-        smask = s
+        if _is_min_sep_in(nbr, wmask, s):
+            out.append(s)
         s = (s - 1) & wmask
-        r = wmask ^ smask
-        fulls = 0
-        while r:
-            comp, reach = flood(nbr, r & -r, r)
-            if reach & smask == smask:
-                fulls += 1
-                if fulls == 2:
-                    out.append(smask)
-                    break
-            r &= ~comp
     return out
 
 
@@ -170,34 +171,41 @@ def enumerate_oracle(g: Graph, cap: int = 16) -> List[VertexSet]:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_closure(g: Graph) -> List[VertexSet]:
-    """Minimal separators by seeded closure.
+def _closure_masks(nbr: Sequence[int], wmask: int) -> Set[int]:
+    """Minimal separator masks of the graph induced on wmask, by closure.
 
-    Seeds: N(C) for every component C of g - N[v], every v.  Expansion: for
-    a discovered separator S and x in S, every N(C) for C a component of
-    g - (S + N[x]).  Candidates are kept only if they certify as minimal
-    separators.  Equality with the oracle is part of the acceptance suite.
+    Seeds: N(C) for every component C of G[W] - N[v], every v in W.
+    Expansion: for a found separator S and x in S, every N(C) for C a
+    component of G[W] - (S + N[x]).  N(C) is read off the flood's reach, and
+    every new candidate is certified before it is kept.
     """
-    full = g.full_mask()
     found: Set[int] = set()
     queue: List[int] = []
 
-    def consider(cmask: int) -> None:
-        smask = g.nbhd_mask(cmask)
-        if smask and smask not in found and len(_full_component_masks(g, smask)) >= 2:
-            found.add(smask)
-            queue.append(smask)
+    def consider(region: int) -> None:
+        while region:
+            comp, reach = flood(nbr, region & -region, region)
+            region &= ~comp
+            smask = reach & wmask & ~comp
+            if smask and smask not in found and _is_min_sep_in(nbr, wmask, smask):
+                found.add(smask)
+                queue.append(smask)
 
-    for v in range(g.n):
-        for comp in g.components_masks(full & ~g.closed_nbr_mask(v)):
-            consider(comp)
+    for v in bits(wmask):
+        consider(wmask & ~(nbr[v] | 1 << v))
     while queue:
         smask = queue.pop()
         for x in bits(smask):
-            region = full & ~(smask | g.closed_nbr_mask(x))
-            for comp in g.components_masks(region):
-                consider(comp)
-    return sorted(set_of(m) for m in found)
+            consider(wmask & ~(smask | nbr[x]))
+    return found
+
+
+def enumerate_closure(g: Graph) -> List[VertexSet]:
+    """Minimal separators by seeded closure (see _closure_masks).
+
+    Equality with the oracle is part of the acceptance suite.
+    """
+    return sorted(set_of(m) for m in _closure_masks(g._nbr, g.full_mask()))
 
 
 # ---------------------------------------------------------------------------
@@ -406,75 +414,6 @@ def domination_number(
     return best_size, best_set
 
 
-def dominating_path_decomposition(
-    g: Graph, record: SeparatorRecord, component_index: int
-) -> List[VertexSet]:
-    """Cover a pruned full component with root-to-leaf BFS paths.
-
-    The chosen full component A is pruned to a minimal connected A' still
-    dominating the separator, then split into the root-to-leaf paths of a
-    BFS tree of g[A'].  Each returned set induces a path in g and their
-    union dominates the separator.
-    """
-    record.validate(g)
-    comps = record.full_component_list
-    if not 0 <= component_index < len(comps):
-        raise ValueError("component index out of range")
-    smask = mask_of(record.separator)
-    amask = mask_of(comps[component_index])
-
-    def dominates_s(mask: int) -> bool:
-        nb = 0
-        for u in bits(mask):
-            nb |= g.nbr_mask(u)
-        return smask & ~nb == 0
-
-    # prune to a minimal connected dominating subset, lowest index first
-    cur = amask
-    changed = True
-    while changed:
-        changed = False
-        for v in bits(cur):
-            cand = cur & ~(1 << v)
-            if cand and g.is_connected_mask(cand) and dominates_s(cand):
-                cur = cand
-                changed = True
-                break
-    root = (cur & -cur).bit_length() - 1
-
-    # BFS tree of g[cur]
-    parent = {root: None}
-    order = [root]
-    frontier = [root]
-    seen = 1 << root
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in bits(g.nbr_mask(u) & cur & ~seen):
-                seen |= 1 << w
-                parent[w] = u
-                order.append(w)
-                nxt.append(w)
-        frontier = nxt
-    children_count = {u: 0 for u in order}
-    for u in order:
-        p = parent[u]
-        if p is not None:
-            children_count[p] += 1
-    leaves = [u for u in order if children_count[u] == 0]
-    if not leaves:
-        leaves = [root]
-    paths = []
-    for leaf in leaves:
-        path = []
-        u: Optional[int] = leaf
-        while u is not None:
-            path.append(u)
-            u = parent[u]
-        paths.append(tuple(reversed(path)))
-    return sorted(paths)
-
-
 # ---------------------------------------------------------------------------
 # route 3: trace-guided branching
 # ---------------------------------------------------------------------------
@@ -497,14 +436,10 @@ class BranchResult:
     complete: bool
 
 
-TraceOracle = Callable[[Graph, int], Iterable[VertexSet]]
-
-
 def enumerate_branching(
     g: Graph,
     k: int,
     active: Optional[Iterable[int]] = None,
-    trace_oracle: Optional[TraceOracle] = None,
     node_cap: int = 2_000_000,
 ) -> BranchResult:
     """Branching enumeration of minimal separators inside the active set.
@@ -525,10 +460,9 @@ def enumerate_branching(
     is_minimal_separator recovers exactly those.
 
     Tie-break and exploration order: ascending vertex index everywhere.
-    States are memoized on (W, X); traces default to the subset oracle run on
-    the current induced subgraph.  A custom trace_oracle(graph, q) receives
-    the materialized current graph with original labels compacted, so it is
-    only useful for instrumentation or tests at small n.
+    States are memoized on (W, X); traces come from the closure run on the
+    current induced subgraph G[W], so each node costs polynomial work per
+    separator of G[W] and node_cap bounds the run.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -538,12 +472,12 @@ def enumerate_branching(
         raise ValueError("active set out of range")
     nbr = g._nbr
 
-    seps_cache: Dict[int, List[int]] = {}
+    seps_cache: Dict[int, Set[int]] = {}
 
-    def seps_of(wmask: int) -> List[int]:
+    def seps_of(wmask: int) -> Set[int]:
         got = seps_cache.get(wmask)
         if got is None:
-            got = _min_sep_masks_in(nbr, wmask)
+            got = _closure_masks(nbr, wmask)
             seps_cache[wmask] = got
         return got
 
@@ -554,16 +488,8 @@ def enumerate_branching(
         got = trace_cache.get(key)
         if got is not None:
             return got
-        if trace_oracle is None:
-            qn = nbr[q]
-            ts = {m & qn for m in seps_of(wmask) if not m >> q & 1}
-        else:
-            sub, rel = induced_subgraph(g, set_of(wmask))
-            inv = {new: old for old, new in rel.mapping.items()}
-            ts = set()
-            for t in trace_oracle(sub, rel.mapping[q]):
-                ts.add(mask_of(inv[w] for w in t))
-        out = sorted(ts)
+        qn = nbr[q]
+        out = sorted({m & qn for m in seps_of(wmask) if not m >> q & 1})
         trace_cache[key] = out
         return out
 

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from sepscope.cli import main
-from sepscope.graphs import parse_edge_list
+from sepscope.families import twisted_ladder
+from sepscope.graphs import format_edge_list, parse_edge_list
 
 
 def write(tmp_path, name, text):
@@ -85,6 +86,14 @@ def test_enum_branching_needs_k(tmp_path, capsys):
     el = write(tmp_path, "p4.el", "4 3\n0 1\n1 2\n2 3\n")
     code, _, err = run(capsys, "enum", el, "--algo", "branching")
     assert code == 2 and "--k" in err
+
+
+def test_enum_branching_budget_bounds_the_run(tmp_path, capsys):
+    el = write(tmp_path, "tl2.el", format_edge_list(twisted_ladder(2)[0]))
+    doc = run_json(capsys, "enum", el, "--algo", "branching", "--k", "3",
+                   "--budget", "2000", "--json")
+    assert doc["complete"] is False
+    assert doc["results"]["nodes"] == 2001
 
 
 def test_enum_missing_file(tmp_path, capsys):

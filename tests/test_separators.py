@@ -7,6 +7,8 @@ from sepscope.cli import result_doc
 from sepscope.graphs import Graph
 from sepscope.separators import (
     CapExceeded,
+    _closure_masks,
+    _min_sep_masks_in,
     close_separator,
     domination_number,
     enumerate_branching,
@@ -95,6 +97,18 @@ def test_closure_matches_oracle_on_disconnected_graphs_n7():
     assert len(graphs) == 256
     for g in graphs:
         assert enumerate_closure(g) == enumerate_oracle(g), g.edges()
+
+
+def test_closure_matches_oracle_inside_proper_vertex_subsets():
+    # branching takes its traces from the closure on G[W] with W != V
+    rng = random.Random(606)
+    for _ in range(300):
+        n = rng.randint(5, 9)
+        g = erdos_renyi(n, rng.choice((0.3, 0.5, 0.7)), rng)
+        w = g.full_mask()
+        while w == g.full_mask():
+            w = sum(1 << v for v in range(n) if rng.random() < 0.75)
+        assert _closure_masks(g._nbr, w) == set(_min_sep_masks_in(g._nbr, w)), (g.edges(), w)
 
 
 def test_branching_filters_to_oracle():
