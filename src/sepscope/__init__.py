@@ -9,17 +9,12 @@ from .graphs import (
     Graph,
     GraphError,
     are_isomorphic,
-    canonical_form,
     components,
     contract_edge,
     contract_set,
     disjoint_union,
     format_edge_list,
-    glue,
     induced_subgraph,
-    is_anticomplete,
-    dominates,
-    neighborhood,
     parse_edge_list,
 )
 from .separators import (

@@ -163,11 +163,13 @@ def _is_complete(g: Graph) -> bool:
 
 
 def _contains_member(
-    g: Graph, hh: ForbiddenFamily, budget: int
+    g: Graph, hh: ForbiddenFamily, order: Sequence[int], budget: int
 ) -> Tuple[Optional[int], bool]:
-    """(index of an embedded member, any search hit its budget)."""
+    """(index of an embedded member, any search hit its budget).
+
+    Members are tried in the given order of indices into hh.members.
+    """
     capped = False
-    order = sorted(range(len(hh.members)), key=lambda i: hh.members[i].n)
     for i in order:
         verdict = find_induced_subgraph(g, hh.members[i], budget=budget)
         if verdict.status == FOUND:
@@ -211,16 +213,10 @@ def _representatives(family_type, k, cap, seed, sample, max_instances):
             g, _ = maker(lengths)
             yield g, f"{family_type}(k={k}, lengths={list(lengths)})"
         return
-    if family_type in ("ladder_theta", "ladder_prism", "ladder"):
-        maker = {"ladder_theta": ladder_theta, "ladder_prism": ladder_prism}.get(family_type)
-        if maker is not None:
-            g, _ = maker(k)
-            yield g, f"{family_type}(k={k}, layout=canonical)"
-        else:
-            from .families import ladder as plain_ladder
-
-            g, _ = plain_ladder(k)
-            yield g, f"ladder(k={k}, layout=canonical)"
+    if family_type in ("ladder_theta", "ladder_prism"):
+        maker = ladder_theta if family_type == "ladder_theta" else ladder_prism
+        g, _ = maker(k)
+        yield g, f"{family_type}(k={k}, layout=canonical)"
         rng = random.Random(seed)
         for i in range(sample):
             g, _ = sampled_ladder_instance(family_type, k, rng, max_len=min(cap, 7))
@@ -260,11 +256,11 @@ def forbids_family_type(
     mode = "exhaustive" if exhaustive_layouts else "canonical+sampled"
     used: Dict[int, int] = {}
     checked = 0
-    any_capped = False
+    # smallest members first
+    order = sorted(range(len(hh.members)), key=lambda i: hh.members[i].n)
     for g, desc in _representatives(family_type, k, length_cap, seed, sample, max_instances):
         checked += 1
-        idx, capped = _contains_member(g, hh, budget)
-        any_capped = any_capped or capped
+        idx, capped = _contains_member(g, hh, order, budget)
         if idx is None:
             if capped:
                 raise RepresentativeBudget(

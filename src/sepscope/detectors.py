@@ -132,74 +132,86 @@ def validate_minor_witness(g: Graph, h: Graph, w: MinorWitness) -> List[str]:
 def find_induced_subgraph(g: Graph, h: Graph, budget: int = 10_000_000) -> SearchVerdict:
     """Injective embedding of h into g preserving adjacency and non-adjacency.
 
-    Backtracking over h-vertices, always extending the one with the most
-    placed neighbors; candidates filtered through bitmask intersection of
-    neighbor/non-neighbor constraints.  Witness: tuple with image of each
-    h-vertex in h-vertex order.
+    Backtracking over h-vertices.  The next h-vertex placed is the one with
+    the most placed neighbours, ties broken by higher degree and then by
+    lower id.  That choice depends only on which h-vertices are placed, not
+    on where they went, so the placement order is fixed once per call,
+    before the search: it is the order the same choice, made at every search
+    node, would give.  Each depth keeps its degree-feasible candidate mask
+    and its (earlier depth, adjacent?) constraints; its candidates are that
+    mask ANDed with the neighbour or non-neighbour masks of the earlier
+    images, tried in ascending vertex order.  Every candidate tried costs
+    one node of the budget.  Witness: tuple with the image of each h-vertex
+    in h-vertex order.
     """
     if h.n == 0:
         return SearchVerdict(FOUND, (), 0)
     if h.n > g.n or h.m > g.m:
         return SearchVerdict(ABSENT, None, 0)
-    hdeg = [h.degree(u) for u in range(h.n)]
-    gdeg_mask = [0] * (h.n)
-    # vertices of g usable for h-vertex u: degree at least deg_h(u)
-    for u in range(h.n):
-        m = 0
-        for v in range(g.n):
-            if g.degree(v) >= hdeg[u]:
-                m |= 1 << v
-        gdeg_mask[u] = m
+    hn, hnbr, gnbr = h.n, h._nbr, g._nbr
+    hdeg = [b.bit_count() for b in hnbr]
+    # at_least[d]: mask of the g-vertices with degree >= d, for d <= top
+    top = max(hdeg)
+    at_least = [0] * (top + 1)
+    bit = 1
+    for b in gnbr:
+        d = b.bit_count()
+        at_least[d if d < top else top] |= bit
+        bit <<= 1
+    for d in range(top - 1, -1, -1):
+        at_least[d] |= at_least[d + 1]
+    # most placed neighbours first, then higher degree, then lower id
+    rest = sorted(range(hn), key=lambda u: -hdeg[u])
+    order: List[int] = []
+    placed = 0
+    while rest:
+        u = max(rest, key=lambda u: (hnbr[u] & placed).bit_count())
+        rest.remove(u)
+        order.append(u)
+        placed |= 1 << u
+    # per depth: degree-feasible mask, earlier depths adjacent / not adjacent
+    plan = [
+        (
+            at_least[hdeg[u]],
+            tuple(j for j in range(d) if hnbr[u] >> order[j] & 1),
+            tuple(j for j in range(d) if not hnbr[u] >> order[j] & 1),
+        )
+        for d, u in enumerate(order)
+    ]
+    img = [0] * hn
     nodes = 0
-    image: List[Optional[int]] = [None] * h.n
-    used = 0
 
-    order_static = sorted(range(h.n), key=lambda u: -hdeg[u])
-
-    def next_target() -> int:
-        best, score = -1, (-1, -1)
-        for u in order_static:
-            if image[u] is not None:
-                continue
-            anchored = sum(1 for t in h.neighbors(u) if image[t] is not None)
-            sc = (anchored, hdeg[u])
-            if sc > score:
-                best, score = u, sc
-        return best
-
-    def rec(depth: int) -> Optional[Tuple[int, ...]]:
-        nonlocal nodes, used
-        if depth == h.n:
-            return tuple(image)  # type: ignore[arg-type]
-        u = next_target()
-        cand = gdeg_mask[u] & ~used
-        for t in range(h.n):
-            if image[t] is None:
-                continue
-            if h.has_edge(u, t):
-                cand &= g.nbr_mask(image[t])
-            else:
-                cand &= ~g.nbr_mask(image[t])
-        for v in bits(cand):
+    def rec(d: int, used: int) -> bool:
+        nonlocal nodes
+        if d == hn:
+            return True
+        cand, adj, non = plan[d]
+        cand &= ~used
+        for j in adj:
+            cand &= gnbr[img[j]]
+        for j in non:
+            cand &= ~gnbr[img[j]]
+        while cand:
+            b = cand & -cand
+            cand ^= b
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded
-            image[u] = v
-            used |= 1 << v
-            got = rec(depth + 1)
-            if got is not None:
-                return got
-            image[u] = None
-            used &= ~(1 << v)
-        return None
+            img[d] = b.bit_length() - 1
+            if rec(d + 1, used | b):
+                return True
+        return False
 
     try:
-        got = rec(0)
+        got = rec(0, 0)
     except BudgetExceeded:
         return SearchVerdict(UNKNOWN, None, nodes)
-    if got is None:
+    if not got:
         return SearchVerdict(ABSENT, None, nodes)
-    return SearchVerdict(FOUND, got, nodes)
+    witness = [0] * hn
+    for d, u in enumerate(order):
+        witness[u] = img[d]
+    return SearchVerdict(FOUND, tuple(witness), nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -91,16 +91,13 @@ class _Builder:
         return v
 
     def path(self, length: int, first: Optional[int] = None, last: Optional[int] = None) -> List[int]:
-        seq = []
-        for pos in range(length):
-            if pos == 0 and first is not None:
-                seq.append(first)
-            elif pos == length - 1 and last is not None:
-                seq.append(last)
-            else:
-                seq.append(self.vertex())
-        for a, b in zip(seq, seq[1:]):
-            self.edges.append((a, b))
+        """A path on `length` vertices; given ends are reused, the rest are new."""
+        head = [] if first is None or length < 1 else [first]
+        tail = [] if last is None or length - len(head) < 1 else [last]
+        fresh = length - len(head) - len(tail)
+        seq = head + list(range(self.count, self.count + fresh)) + tail
+        self.count += max(fresh, 0)
+        self.edges.extend(zip(seq, seq[1:]))
         return seq
 
     def edge(self, u: int, v: int) -> None:

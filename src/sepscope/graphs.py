@@ -61,7 +61,9 @@ class Graph:
     """Simple undirected graph, immutable after construction.
 
     Construction validates the simple-graph invariants: vertex ids in range,
-    no self loops, no duplicate edges.
+    no self loops, no duplicate edges.  Adjacency is stored as one neighbour
+    mask per vertex; the sorted neighbour tuples behind `neighbors` are built
+    lazily, on the first call.
     """
 
     __slots__ = ("n", "_nbr", "_adj", "_m", "_colcache")
@@ -83,7 +85,7 @@ class Graph:
             m += 1
         self.n = n
         self._nbr = tuple(nbr)
-        self._adj = tuple(set_of(b) for b in nbr)
+        self._adj: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._m = m
         self._colcache: Optional[Tuple[int, ...]] = None
 
@@ -95,13 +97,15 @@ class Graph:
         return range(self.n)
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
+        if self._adj is None:
+            self._adj = tuple(set_of(b) for b in self._nbr)
         return self._adj[v]
 
     def nbr_mask(self, v: int) -> int:
         return self._nbr[v]
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self._nbr[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self._nbr[u] >> v & 1)
@@ -209,33 +213,6 @@ def components(g: Graph, within: Optional[Iterable[int]] = None) -> List[Tuple[i
     return [set_of(c) for c in g.components_masks(wmask)]
 
 
-def neighborhood(g: Graph, s: Iterable[int], closed: bool = False) -> Tuple[int, ...]:
-    return set_of(g.nbhd_mask(mask_of(s), closed=closed))
-
-
-def is_anticomplete(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
-    """True iff no vertex of a equals or neighbors a vertex of b."""
-    am, bm = mask_of(a), mask_of(b)
-    if am & bm:
-        return False
-    return not (g.nbhd_mask(am) & bm)
-
-
-def dominates(g: Graph, xs: Iterable[int], ys: Iterable[int], closed: bool = True) -> bool:
-    """True iff ys is a subset of N[xs] (or of N(xs) when closed=False).
-
-    Open domination means every y has an actual neighbor in xs; membership in
-    xs does not count.
-    """
-    xm, ym = mask_of(xs), mask_of(ys)
-    cover = 0
-    for v in bits(xm):
-        cover |= g.nbr_mask(v)
-    if closed:
-        cover |= xm
-    return ym & ~cover == 0
-
-
 def contract_set(g: Graph, vs: Iterable[int]) -> Tuple[Graph, Contraction]:
     """Collapse the connected set vs to one vertex.
 
@@ -268,30 +245,6 @@ def contract_edge(g: Graph, u: int, v: int) -> Tuple[Graph, Contraction]:
     if not g.has_edge(u, v):
         raise GraphError(f"({u},{v}) is not an edge")
     return contract_set(g, (u, v))
-
-
-def glue(a: Graph, va: int, b: Graph, vb: int) -> Tuple[Graph, Relabeling, Relabeling]:
-    """Disjoint union of a and b with va and vb identified.
-
-    Vertices of `a` keep their ids; vertices of `b` are appended, with vb
-    mapped onto va.  Returns the glued graph plus both relabelings.
-    """
-    if not 0 <= va < a.n or not 0 <= vb < b.n:
-        raise GraphError("glue vertex out of range")
-    map_a = {v: v for v in range(a.n)}
-    map_b = {}
-    nxt = a.n
-    for v in range(b.n):
-        if v == vb:
-            map_b[v] = va
-        else:
-            map_b[v] = nxt
-            nxt += 1
-    edges = set(a.edges())
-    for u, v in b.edges():
-        nu, nv = map_b[u], map_b[v]
-        edges.add((min(nu, nv), max(nu, nv)))
-    return Graph(nxt, sorted(edges)), Relabeling(map_a), Relabeling(map_b)
 
 
 def disjoint_union(graphs: Sequence[Graph]) -> Tuple[Graph, List[Relabeling]]:
@@ -443,61 +396,3 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
         return False
 
     return bt(0)
-
-
-def canonical_form(g: Graph) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
-    """Canonical (n, edge tuple) under vertex reordering; exact for n <= 10.
-
-    Branch-and-bound over orderings: vertices are placed one by one, the
-    adjacency row against placed vertices is the comparison key, twins are
-    collapsed to a single branch.
-    """
-    n = g.n
-    if n > 10:
-        raise GraphError("canonical_form supports n <= 10")
-    if n == 0:
-        return (0, ())
-    best: List[Optional[Tuple[int, ...]]] = [None]
-
-    def dfs(placed: List[int], rows: List[int], remaining: List[int]):
-        if not remaining:
-            key = tuple(rows)
-            if best[0] is None or key > best[0]:
-                best[0] = key
-            return
-        placed_mask = mask_of(placed)
-        unplaced_mask = mask_of(remaining)
-        scored = []
-        for v in remaining:
-            row = 0
-            for i, p in enumerate(placed):
-                if g.has_edge(v, p):
-                    row |= 1 << i
-            scored.append((row, v))
-        # canonical key is the MAX rows tuple, so try large rows first
-        scored.sort(key=lambda rv: (-rv[0], rv[1]))
-        seen = set()
-        for row, v in scored:
-            prefix = tuple(rows + [row])
-            if best[0] is not None and prefix < best[0][: len(prefix)]:
-                continue
-            # twin cuts: candidates interchangeable by an automorphism of the
-            # remaining choice produce identical subtrees.  Equal rows plus
-            # equal open nbhd among unplaced (false twins) or equal closed
-            # nbhd among unplaced (true twins) certify interchangeability.
-            k_open = (row, g.nbr_mask(v) & unplaced_mask & ~(1 << v))
-            k_closed = (row, (g.nbr_mask(v) | (1 << v)) & unplaced_mask, 1)
-            if k_open in seen or k_closed in seen:
-                continue
-            seen.add(k_open)
-            seen.add(k_closed)
-            dfs(placed + [v], rows + [row], [u for u in remaining if u != v])
-
-    dfs([], [], list(range(n)))
-    rows = best[0]
-    assert rows is not None
-    edges = []
-    for j, row in enumerate(rows):
-        for i in bits(row):
-            edges.append((i, j))
-    return (n, tuple(sorted(edges)))

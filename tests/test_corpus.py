@@ -1,7 +1,8 @@
 import random
 
 from sepscope.corpus import erdos_renyi, nonisomorphic_graphs, random_connected_corpus
-from sepscope.graphs import canonical_form
+
+from oracles import canonical_form
 
 
 def test_counts_match_the_classical_sequence():

@@ -18,8 +18,18 @@ from sepscope.detectors import (
     validate_creature,
     validate_minor_witness,
 )
-from sepscope.families import almost_skinny_ladder, skinny_ladder, twisted_ladder
-from sepscope.graphs import Graph, are_isomorphic, canonical_form, contract_edge, induced_subgraph
+from sepscope.families import (
+    almost_skinny_ladder,
+    ladder_theta,
+    prism,
+    pyramid,
+    skinny_ladder,
+    theta,
+    twisted_ladder,
+)
+from sepscope.graphs import Graph, are_isomorphic, contract_edge, induced_subgraph
+
+from oracles import canonical_form
 
 
 def path(n):
@@ -190,6 +200,70 @@ def test_induced_subgraph_witness_is_an_embedding():
     for i in range(3):
         assert c6.has_edge(image[i], image[i + 1])
     assert not c6.has_edge(image[0], image[2])
+
+
+def brute_force_induced_embedding(g, h):
+    """First injective map of h into g that keeps edges and non-edges, or None."""
+    adj = [set(g.neighbors(v)) for v in range(g.n)]
+    hedges = [(u, w, h.has_edge(u, w)) for u, w in itertools.combinations(range(h.n), 2)]
+    for image in itertools.permutations(range(g.n), h.n):
+        if all((image[w] in adj[image[u]]) == e for u, w, e in hedges):
+            return image
+    return None
+
+
+def is_induced_embedding(g, h, image):
+    return (
+        len(image) == h.n
+        and len(set(image)) == h.n
+        and all(0 <= v < g.n for v in image)
+        and all(
+            g.has_edge(image[u], image[w]) == h.has_edge(u, w)
+            for u, w in itertools.combinations(range(h.n), 2)
+        )
+    )
+
+
+def test_induced_subgraph_matches_brute_force():
+    rng = random.Random(7070)
+    found = 0
+    for _ in range(500):
+        gn = rng.randint(1, 8)
+        g = erdos_renyi(gn, rng.choice((0.2, 0.4, 0.6, 0.8)), rng)
+        h = erdos_renyi(rng.randint(1, min(gn, 5)), rng.choice((0.3, 0.5, 0.7)), rng)
+        verdict = find_induced_subgraph(g, h)
+        expect = brute_force_induced_embedding(g, h)
+        assert verdict.status == (ABSENT if expect is None else FOUND), (g.edges(), h.edges())
+        if verdict.found:
+            found += 1
+            assert is_induced_embedding(g, h, verdict.witness), (g.edges(), h.edges())
+    assert 100 < found < 400
+
+
+# (host, pattern, status, witness, nodes_explored): any change of the
+# placement order or of the candidate order moves a witness or a count here
+PINNED_SUBGRAPH_SEARCHES = [
+    (theta((4, 5, 6))[0], Graph(4, [(0, 1), (0, 2), (0, 3)]), FOUND, (0, 2, 4, 7), 4),
+    (prism((3, 3, 3))[0], cycle(4), ABSENT, None, 63),
+    (prism((3, 3, 3))[0], path(5), FOUND, (6, 0, 1, 7, 4), 5),
+    (pyramid((3, 4, 5))[0], complete(3), FOUND, (1, 2, 3), 7),
+    (ladder_theta(4)[0], cycle(5), ABSENT, None, 147),
+    (twisted_ladder(2)[0], cycle(5), ABSENT, None, 252),
+]
+
+
+def test_induced_subgraph_pinned_node_counts():
+    for host, pattern, status, witness, nodes in PINNED_SUBGRAPH_SEARCHES:
+        verdict = find_induced_subgraph(host, pattern)
+        assert (verdict.status, verdict.witness, verdict.nodes_explored) == (status, witness, nodes)
+
+
+def test_induced_subgraph_budget_edge():
+    g, _ = twisted_ladder(2)
+    nodes = find_induced_subgraph(g, cycle(5)).nodes_explored
+    assert find_induced_subgraph(g, cycle(5), budget=nodes).status == ABSENT
+    edge = find_induced_subgraph(g, cycle(5), budget=nodes - 1)
+    assert (edge.status, edge.witness, edge.nodes_explored) == (UNKNOWN, None, nodes)
 
 
 # induced minors

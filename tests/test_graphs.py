@@ -6,19 +6,18 @@ from sepscope.graphs import (
     Graph,
     GraphError,
     are_isomorphic,
-    canonical_form,
     components,
     contract_edge,
     contract_set,
     disjoint_union,
-    dominates,
     format_edge_list,
-    glue,
     induced_subgraph,
-    is_anticomplete,
-    neighborhood,
+    mask_of,
     parse_edge_list,
+    set_of,
 )
+
+from oracles import canonical_form
 
 
 def path(n):
@@ -93,19 +92,20 @@ def test_components_masks_split_within():
 
 def test_neighborhood_open_and_closed():
     g = path(5)
-    assert neighborhood(g, (2,)) == (1, 3)
-    assert neighborhood(g, (2,), closed=True) == (1, 2, 3)
-    assert neighborhood(g, (0, 1)) == (2,)
+    assert set_of(g.nbhd_mask(mask_of((2,)))) == (1, 3)
+    assert set_of(g.nbhd_mask(mask_of((2,)), closed=True)) == (1, 2, 3)
+    assert set_of(g.nbhd_mask(mask_of((0, 1)))) == (2,)
 
 
 def test_anticomplete_and_dominates():
+    # A anticomplete to B: disjoint and N(A) misses B; X dominates Y: Y inside N[X]
     g = path(6)
-    assert is_anticomplete(g, (0,), (2, 3))
-    assert not is_anticomplete(g, (0,), (1,))
-    assert dominates(g, (1, 4), range(6))
-    assert not dominates(g, (0,), (3,))
+    assert not g.nbhd_mask(mask_of((0,))) & mask_of((2, 3))
+    assert g.nbhd_mask(mask_of((0,))) & mask_of((1,))
+    assert g.nbhd_mask(mask_of((1, 4)), closed=True) == g.full_mask()
+    assert not g.nbhd_mask(mask_of((0,)), closed=True) >> 3 & 1
     # open domination: a vertex does not cover itself
-    assert not dominates(g, (0,), (0,), closed=False)
+    assert not g.nbhd_mask(mask_of((0,))) & 1
 
 
 def test_induced_subgraph_relabels():
@@ -137,15 +137,6 @@ def test_contract_set_requires_connected():
 def test_contract_path_chain():
     h, _ = contract_set(path(6), (2, 3))
     assert h.n == 5 and are_isomorphic(h, path(5))
-
-
-def test_glue_shares_one_vertex():
-    a = path(3)
-    b = cycle(3)
-    g, ra, rb = glue(a, 2, b, 0)
-    assert g.n == a.n + b.n - 1
-    assert g.m == a.m + b.m
-    assert ra.get(2) == rb.get(0)
 
 
 def test_disjoint_union():
