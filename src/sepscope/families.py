@@ -15,6 +15,14 @@ path order, everything else sorted.  Role name patterns:
 
 Length convention everywhere: the length of a path is its vertex count.
 
+The six path-bundle families (theta, prism, pyramid, ladder_theta,
+ladder_prism, ladder) are defined in one place, the `_BUNDLES` table.  Each
+is k paths P_1..P_k of some least length, and each end of the bundle is one
+shared vertex (role a or b), a k-clique (roles a_i or b_i), or private path
+ends a_i or b_i attached to a backbone path (L on the a-end, R on the
+b-end) in pairwise disjoint hulls.  `_bundle` builds all six from the table
+and `_v_bundle` verifies them.
+
 The twisted ladder is defined only up to the properties its separator-count
 and creature-freeness arguments use; the adjacency implemented here is a
 concrete layout satisfying all of them (S-removal leaves the two induced
@@ -32,7 +40,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import combinations
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .graphs import Graph, disjoint_union
 
@@ -100,100 +109,133 @@ class _Builder:
         self.edges.extend(zip(seq, seq[1:]))
         return seq
 
-    def edge(self, u: int, v: int) -> None:
-        self.edges.append((u, v))
-
-    def clique(self, vs: Sequence[int]) -> None:
-        for i in range(len(vs)):
-            for j in range(i + 1, len(vs)):
-                self.edges.append((vs[i], vs[j]))
+    def clique(self, size: int) -> List[int]:
+        """`size` new vertices, pairwise adjacent."""
+        vs = list(range(self.count, self.count + size))
+        self.count += size
+        self.edges.extend(combinations(vs, 2))
+        return vs
 
     def graph(self) -> Graph:
         return Graph(self.count, self.edges)
 
 
-def _need(cond: bool, msg: str) -> None:
+def _need(cond: bool, msg: str, *args) -> None:
+    """Raise ValueError(msg % args) unless cond; the text is built only then."""
     if not cond:
-        raise ValueError(msg)
+        raise ValueError(msg % args)
+
+
+def _hulls_overlap(attach: Sequence[Sequence[int]]) -> bool:
+    """Some attachment set has a position inside another set's hull [min, max]."""
+    for i, pos in enumerate(attach):
+        if pos:
+            lo, hi = min(pos), max(pos)
+            for j, other in enumerate(attach):
+                if i != j and any(lo <= p <= hi for p in other):
+                    return True
+    return False
 
 
 # ---------------------------------------------------------------------------
-# theta / prism / pyramid
+# path bundles: theta, prism, pyramid, ladder_theta, ladder_prism, ladder
 # ---------------------------------------------------------------------------
+
+# the kinds of a bundle end
+_ONE, _CLIQUE, _PATH = "one", "clique", "path"
+
+# family -> (least k, least path length, a-end kind, b-end kind)
+_BUNDLES = {
+    "theta": (3, 4, _ONE, _ONE),
+    "prism": (3, 2, _CLIQUE, _CLIQUE),
+    "pyramid": (3, 3, _ONE, _CLIQUE),
+    "ladder_theta": (3, 3, _PATH, _ONE),
+    "ladder_prism": (3, 2, _PATH, _CLIQUE),
+    "ladder": (1, 2, _PATH, _PATH),
+}
+
+
+def _check_attach(attach: Sequence[Sequence[int]], path_len: int, side: str, k: int) -> None:
+    _need(len(attach) == k, "need one attachment set per path on %s", side)
+    for pos in attach:
+        _need(
+            len(pos) >= 1 and all(0 <= p < path_len for p in pos),
+            "every attachment set on %s is nonempty and inside it",
+            side,
+        )
+    _need(not _hulls_overlap(attach), "attachment hulls on %s must be disjoint", side)
+
+
+def _bundle(
+    fam: str,
+    k: int,
+    lengths: Optional[Sequence[int]] = None,
+    l_len: Optional[int] = None,
+    attach: Optional[Sequence[Sequence[int]]] = None,
+    r_len: Optional[int] = None,
+    r_attach: Optional[Sequence[Sequence[int]]] = None,
+) -> Tuple[Graph, StructureWitness]:
+    """The k-path bundle of `_BUNDLES[fam]`.
+
+    Vertices are numbered a-end first, then b-end, then each path's new
+    vertices in order.  A backbone defaults to k vertices with the i-th
+    path end attached to its i-th vertex.
+    """
+    min_k, min_len, a_end, b_end = _BUNDLES[fam]
+    _need(k >= min_k, "%s needs k >= %d", fam, min_k)
+    lengths = (min_len,) * k if lengths is None else tuple(lengths)
+    _need(len(lengths) == k, "%s needs one length per path", fam)
+    _need(min(lengths) >= min_len, "%s paths need length >= %d", fam, min_len)
+    b = _Builder()
+    w = StructureWitness()
+    ends: List[Sequence[Optional[int]]] = []
+    hooks = []
+    for side, at, kind, name, n, att in (
+        ("a", 0, a_end, "L", l_len, attach),
+        ("b", -1, b_end, "R", r_len, r_attach),
+    ):
+        if kind == _ONE:
+            v = b.vertex()
+            w.role_map[side] = (v,)
+            ends.append((v,) * k)
+        elif kind == _CLIQUE:
+            ends.append(b.clique(k))
+        else:
+            att = tuple((i,) for i in range(k)) if att is None else tuple(map(tuple, att))
+            n = k if n is None else n
+            _check_attach(att, n, name, k)
+            backbone = b.path(n)
+            w.role_map[name] = tuple(backbone)
+            ends.append((None,) * k)
+            hooks.append((at, backbone, att))
+    for i, l in enumerate(lengths):
+        p = b.path(l, ends[0][i], ends[1][i])
+        if a_end != _ONE:
+            w.role_map[f"a_{i + 1}"] = (p[0],)
+        if b_end != _ONE:
+            w.role_map[f"b_{i + 1}"] = (p[-1],)
+        w.role_map[f"P_{i + 1}"] = tuple(p)
+        for at, backbone, att in hooks:
+            b.edges.extend((p[at], backbone[pos]) for pos in att[i])
+    return b.graph(), w
 
 
 def theta(lengths: Sequence[int]) -> Tuple[Graph, StructureWitness]:
     """k internally disjoint anti-complete paths joining a to b, lengths >= 4."""
     lengths = tuple(lengths)
-    _need(len(lengths) >= 3, "theta needs at least 3 paths")
-    _need(all(l >= 4 for l in lengths), "theta paths need length >= 4")
-    b = _Builder()
-    a, bb = b.vertex(), b.vertex()
-    w = StructureWitness({"a": (a,), "b": (bb,)})
-    for i, l in enumerate(lengths, 1):
-        w.role_map[f"P_{i}"] = tuple(b.path(l, first=a, last=bb))
-    return b.graph(), w
+    return _bundle("theta", len(lengths), lengths)
 
 
 def prism(lengths: Sequence[int]) -> Tuple[Graph, StructureWitness]:
     """Two k-cliques joined by anti-complete paths, lengths >= 2."""
     lengths = tuple(lengths)
-    k = len(lengths)
-    _need(k >= 3, "prism needs at least 3 paths")
-    _need(all(l >= 2 for l in lengths), "prism paths need length >= 2")
-    b = _Builder()
-    avs = [b.vertex() for _ in range(k)]
-    bvs = [b.vertex() for _ in range(k)]
-    b.clique(avs)
-    b.clique(bvs)
-    w = StructureWitness()
-    for i in range(1, k + 1):
-        w.role_map[f"a_{i}"] = (avs[i - 1],)
-        w.role_map[f"b_{i}"] = (bvs[i - 1],)
-        w.role_map[f"P_{i}"] = tuple(b.path(lengths[i - 1], first=avs[i - 1], last=bvs[i - 1]))
-    return b.graph(), w
+    return _bundle("prism", len(lengths), lengths)
 
 
 def pyramid(lengths: Sequence[int]) -> Tuple[Graph, StructureWitness]:
     """Apex a joined to a k-clique by anti-complete paths, lengths >= 3."""
     lengths = tuple(lengths)
-    k = len(lengths)
-    _need(k >= 3, "pyramid needs at least 3 paths")
-    _need(all(l >= 3 for l in lengths), "pyramid paths need length >= 3")
-    b = _Builder()
-    a = b.vertex()
-    bvs = [b.vertex() for _ in range(k)]
-    b.clique(bvs)
-    w = StructureWitness({"a": (a,)})
-    for i in range(1, k + 1):
-        w.role_map[f"b_{i}"] = (bvs[i - 1],)
-        w.role_map[f"P_{i}"] = tuple(b.path(lengths[i - 1], first=a, last=bvs[i - 1]))
-    return b.graph(), w
-
-
-# ---------------------------------------------------------------------------
-# ladder types
-# ---------------------------------------------------------------------------
-
-
-def _check_attach(attach: Sequence[Sequence[int]], path_len: int, side: str) -> None:
-    hulls = []
-    for i, pos in enumerate(attach):
-        _need(len(pos) >= 1, f"spoke {i + 1} needs a neighbor in {side}")
-        _need(all(0 <= p < path_len for p in pos), f"{side} attachment out of range")
-        hulls.append((min(pos), max(pos)))
-    for i in range(len(hulls)):
-        for j in range(len(hulls)):
-            if i != j:
-                lo, hi = hulls[i]
-                _need(
-                    not any(lo <= p <= hi for p in attach[j]),
-                    f"attachment hulls on {side} must be disjoint",
-                )
-
-
-def _canonical_attach(k: int) -> Tuple[Tuple[int, ...], ...]:
-    return tuple((i,) for i in range(k))
+    return _bundle("pyramid", len(lengths), lengths)
 
 
 def ladder_theta(
@@ -203,27 +245,7 @@ def ladder_theta(
     attach: Optional[Sequence[Sequence[int]]] = None,
 ) -> Tuple[Graph, StructureWitness]:
     """Backbone path L plus apex b, with k paths from L-attached a_i to b."""
-    _need(k >= 3, "ladder_theta needs k >= 3")
-    lengths = tuple(lengths) if lengths is not None else (3,) * k
-    _need(len(lengths) == k, "need one length per path")
-    _need(all(l >= 3 for l in lengths), "ladder_theta paths need length >= 3")
-    l_len = l_len if l_len is not None else k
-    attach = tuple(tuple(a) for a in attach) if attach is not None else _canonical_attach(k)
-    _need(len(attach) == k, "need one attachment set per path")
-    _check_attach(attach, l_len, "L")
-    b = _Builder()
-    L = [b.vertex() for _ in range(l_len)]
-    for u, v in zip(L, L[1:]):
-        b.edge(u, v)
-    apex = b.vertex()
-    w = StructureWitness({"L": tuple(L), "b": (apex,)})
-    for i in range(1, k + 1):
-        p = b.path(lengths[i - 1], last=apex)
-        w.role_map[f"a_{i}"] = (p[0],)
-        w.role_map[f"P_{i}"] = tuple(p)
-        for pos in attach[i - 1]:
-            b.edge(p[0], L[pos])
-    return b.graph(), w
+    return _bundle("ladder_theta", k, lengths, l_len, attach)
 
 
 def ladder_prism(
@@ -233,29 +255,7 @@ def ladder_prism(
     attach: Optional[Sequence[Sequence[int]]] = None,
 ) -> Tuple[Graph, StructureWitness]:
     """Backbone path L plus a k-clique, with paths from L-attached a_i to b_i."""
-    _need(k >= 3, "ladder_prism needs k >= 3")
-    lengths = tuple(lengths) if lengths is not None else (2,) * k
-    _need(len(lengths) == k, "need one length per path")
-    _need(all(l >= 2 for l in lengths), "ladder_prism paths need length >= 2")
-    l_len = l_len if l_len is not None else k
-    attach = tuple(tuple(a) for a in attach) if attach is not None else _canonical_attach(k)
-    _need(len(attach) == k, "need one attachment set per path")
-    _check_attach(attach, l_len, "L")
-    b = _Builder()
-    L = [b.vertex() for _ in range(l_len)]
-    for u, v in zip(L, L[1:]):
-        b.edge(u, v)
-    bvs = [b.vertex() for _ in range(k)]
-    b.clique(bvs)
-    w = StructureWitness({"L": tuple(L)})
-    for i in range(1, k + 1):
-        w.role_map[f"b_{i}"] = (bvs[i - 1],)
-        p = b.path(lengths[i - 1], last=bvs[i - 1])
-        w.role_map[f"a_{i}"] = (p[0],)
-        w.role_map[f"P_{i}"] = tuple(p)
-        for pos in attach[i - 1]:
-            b.edge(p[0], L[pos])
-    return b.graph(), w
+    return _bundle("ladder_prism", k, lengths, l_len, attach)
 
 
 def ladder(
@@ -272,35 +272,44 @@ def ladder(
     The a-side and b-side attachment orders are independent; nothing forces
     the i-th hull on L to face the i-th hull on R.
     """
-    _need(k >= 1, "ladder needs k >= 1")
-    lengths = tuple(lengths) if lengths is not None else (2,) * k
-    _need(len(lengths) == k, "need one length per path")
-    _need(all(l >= 2 for l in lengths), "ladder paths need length >= 2")
-    l_len = l_len if l_len is not None else k
-    r_len = r_len if r_len is not None else k
-    attach = tuple(tuple(a) for a in attach) if attach is not None else _canonical_attach(k)
-    r_attach = tuple(tuple(a) for a in r_attach) if r_attach is not None else _canonical_attach(k)
-    _need(len(attach) == k and len(r_attach) == k, "need one attachment set per path")
-    _check_attach(attach, l_len, "L")
-    _check_attach(r_attach, r_len, "R")
-    b = _Builder()
-    L = [b.vertex() for _ in range(l_len)]
-    for u, v in zip(L, L[1:]):
-        b.edge(u, v)
-    R = [b.vertex() for _ in range(r_len)]
-    for u, v in zip(R, R[1:]):
-        b.edge(u, v)
-    w = StructureWitness({"L": tuple(L), "R": tuple(R)})
-    for i in range(1, k + 1):
-        p = b.path(lengths[i - 1])
-        w.role_map[f"a_{i}"] = (p[0],)
-        w.role_map[f"b_{i}"] = (p[-1],)
-        w.role_map[f"P_{i}"] = tuple(p)
-        for pos in attach[i - 1]:
-            b.edge(p[0], L[pos])
-        for pos in r_attach[i - 1]:
-            b.edge(p[-1], R[pos])
-    return b.graph(), w
+    return _bundle("ladder", k, lengths, l_len, attach, r_len, r_attach)
+
+
+def _sample_hulls(rng: random.Random, order: Sequence[int]) -> Tuple[int, List[List[int]]]:
+    """A random backbone length and disjoint attachment sets laid out along
+    it in `order`: one sorted position list per spoke, indexed by spoke."""
+    pos = rng.randint(0, 1)
+    att: List[List[int]] = [[] for _ in order]
+    for spoke in order:
+        size = rng.randint(1, 3)
+        chosen = {pos, pos + size - 1}
+        for cm in range(pos + 1, pos + size - 1):
+            if rng.random() < 0.5:
+                chosen.add(cm)
+        att[spoke] = sorted(chosen)
+        pos += size + rng.randint(0, 2)
+    return pos + rng.randint(0, 1), att
+
+
+def sampled_ladder_instance(
+    fam: str,
+    k: int,
+    rng: random.Random,
+    max_len: Optional[int] = None,
+    lengths: Optional[Sequence[int]] = None,
+) -> Tuple[Graph, StructureWitness]:
+    """One random layout of a ladder-type family: backbone lengths, disjoint
+    attachment hulls in shuffled order, and (optionally) random path lengths."""
+    min_len = _BUNDLES[fam][1]
+    if lengths is None:
+        hi = max_len if max_len is not None else min_len + 3
+        lengths = tuple(rng.randint(min_len, hi) for _ in range(k))
+    backbones: List = []
+    for _ in range(2 if fam == "ladder" else 1):
+        order = list(range(k))
+        rng.shuffle(order)
+        backbones += _sample_hulls(rng, order)
+    return _bundle(fam, k, lengths, *backbones)
 
 
 # ---------------------------------------------------------------------------
@@ -308,41 +317,40 @@ def ladder(
 # ---------------------------------------------------------------------------
 
 
+def _long(arm: int, paw: bool) -> Tuple[Graph, StructureWitness]:
+    _need(arm >= 2, "%s needs arm length >= 2", "long_paw" if paw else "long_claw")
+    b = _Builder()
+    if paw:
+        starts = b.clique(3)
+        w = StructureWitness({"triangle": tuple(starts)})
+    else:
+        starts = [b.vertex()] * 3
+        w = StructureWitness({"v": (starts[0],)})
+    for i, (start, leaf) in enumerate(zip(starts, "abc"), 1):
+        p = b.path(arm, first=start)
+        w.role_map[f"P_{i}"] = tuple(p)
+        w.role_map[leaf] = (p[-1],)
+    return b.graph(), w
+
+
 def long_claw(arm: int) -> Tuple[Graph, StructureWitness]:
     """Claw with each edge subdivided: three arm paths of `arm` vertices
     sharing the center; 3*arm - 2 vertices."""
-    _need(arm >= 2, "long_claw needs arm length >= 2")
-    b = _Builder()
-    v = b.vertex()
-    w = StructureWitness({"v": (v,)})
-    for i, leaf_name in enumerate(("a", "b", "c"), 1):
-        p = b.path(arm, first=v)
-        w.role_map[f"P_{i}"] = tuple(p)
-        w.role_map[leaf_name] = (p[-1],)
-    return b.graph(), w
+    return _long(arm, paw=False)
 
 
 def long_paw(arm: int) -> Tuple[Graph, StructureWitness]:
     """Triangle with an arm path of `arm` vertices hanging off each corner."""
-    _need(arm >= 2, "long_paw needs arm length >= 2")
-    b = _Builder()
-    tri = [b.vertex() for _ in range(3)]
-    b.clique(tri)
-    w = StructureWitness({"triangle": tuple(tri)})
-    for i, leaf_name in enumerate(("a", "b", "c"), 1):
-        p = b.path(arm, first=tri[i - 1])
-        w.role_map[f"P_{i}"] = tuple(p)
-        w.role_map[leaf_name] = (p[-1],)
-    return b.graph(), w
+    return _long(arm, paw=True)
 
 
-def _copies(k: int, maker) -> Tuple[Graph, StructureWitness]:
-    _need(k >= 1, "need at least one copy")
-    parts = [maker(k) for _ in range(k)]
-    g, rels = disjoint_union([p for p, _ in parts])
+def _copies(k: int, paw: bool) -> Tuple[Graph, StructureWitness]:
+    _need(k >= 2, "%s needs k >= 2 (the arm length of each copy)", "paw" if paw else "claw")
+    part, pw = _long(k, paw)
+    g, rels = disjoint_union([part] * k)
     w = StructureWitness()
-    for i, ((part, pw), rel) in enumerate(zip(parts, rels), 1):
-        w.role_map[f"copy_{i}"] = tuple(sorted(rel.get(v) for v in range(part.n)))
+    for i, rel in enumerate(rels, 1):
+        w.role_map[f"copy_{i}"] = tuple(rel.get(v) for v in range(part.n))
         for role, vs in pw.role_map.items():
             renamed = f"{role}_{i}" if "_" not in role else role.replace("_", f"_{i}_", 1)
             w.role_map[renamed] = tuple(rel.get(x) for x in vs)
@@ -351,12 +359,12 @@ def _copies(k: int, maker) -> Tuple[Graph, StructureWitness]:
 
 def claw(k: int) -> Tuple[Graph, StructureWitness]:
     """k anti-complete copies of the long claw with arm length k."""
-    return _copies(k, long_claw)
+    return _copies(k, paw=False)
 
 
 def paw(k: int) -> Tuple[Graph, StructureWitness]:
     """k anti-complete copies of the long paw with arm length k."""
-    return _copies(k, long_paw)
+    return _copies(k, paw=True)
 
 
 # ---------------------------------------------------------------------------
@@ -364,25 +372,29 @@ def paw(k: int) -> Tuple[Graph, StructureWitness]:
 # ---------------------------------------------------------------------------
 
 
-def skinny_ladder(k: int) -> Tuple[Graph, StructureWitness]:
-    """Two k-paths plus degree-2 spokes s_i joined to the i-th vertex of each."""
-    _need(k >= 1, "skinny_ladder needs k >= 1")
+def _spoke_ladder(
+    l_len: int, r_len: int, l_att: Sequence[Sequence[int]], r_att: Sequence[Sequence[int]]
+) -> Tuple[Graph, StructureWitness]:
+    """Paths L and R plus one spoke s_i per (L positions, R positions) pair."""
     b = _Builder()
-    L = [b.vertex() for _ in range(k)]
-    R = [b.vertex() for _ in range(k)]
-    for seq in (L, R):
-        for u, v in zip(seq, seq[1:]):
-            b.edge(u, v)
+    L, R = b.path(l_len), b.path(r_len)
     w = StructureWitness({"L": tuple(L), "R": tuple(R)})
     svs = []
-    for i in range(1, k + 1):
+    for i, (lp, rp) in enumerate(zip(l_att, r_att), 1):
         s = b.vertex()
-        b.edge(s, L[i - 1])
-        b.edge(s, R[i - 1])
+        b.edges.extend((s, L[p]) for p in lp)
+        b.edges.extend((s, R[p]) for p in rp)
         w.role_map[f"s_{i}"] = (s,)
         svs.append(s)
     w.role_map["S"] = tuple(svs)
     return b.graph(), w
+
+
+def skinny_ladder(k: int) -> Tuple[Graph, StructureWitness]:
+    """Two k-paths plus degree-2 spokes s_i joined to the i-th vertex of each."""
+    _need(k >= 1, "skinny_ladder needs k >= 1")
+    rungs = [(i,) for i in range(k)]
+    return _spoke_ladder(k, k, rungs, rungs)
 
 
 def almost_skinny_ladder(
@@ -397,48 +409,13 @@ def almost_skinny_ladder(
     """
     _need(k >= 1, "almost_skinny_ladder needs k >= 1")
     if layout_seed is None:
-        g, w = skinny_ladder(k)
-        return g, w
+        return skinny_ladder(k)
     rng = random.Random(layout_seed)
-
-    def side_intervals(order: Sequence[int]):
-        # returns per-spoke absolute neighbor positions, plus total length
-        pos = rng.randint(0, 1)
-        nbrs: Dict[int, List[int]] = {}
-        for spoke in order:
-            size = rng.randint(1, 3)
-            cells = list(range(pos, pos + size))
-            chosen = {cells[0], cells[-1]}
-            for cm in cells[1:-1]:
-                if rng.random() < 0.5:
-                    chosen.add(cm)
-            nbrs[spoke] = sorted(chosen)
-            pos += size + rng.randint(0, 2)
-        return nbrs, pos + rng.randint(0, 1)
-
-    l_nbrs, l_len = side_intervals(range(k))
+    l_len, l_att = _sample_hulls(rng, range(k))
     perm = list(range(k))
     rng.shuffle(perm)
-    r_nbrs, r_len = side_intervals(perm)
-
-    b = _Builder()
-    L = [b.vertex() for _ in range(l_len)]
-    R = [b.vertex() for _ in range(r_len)]
-    for seq in (L, R):
-        for u, v in zip(seq, seq[1:]):
-            b.edge(u, v)
-    w = StructureWitness({"L": tuple(L), "R": tuple(R)})
-    svs = []
-    for i in range(k):
-        s = b.vertex()
-        for p in l_nbrs[i]:
-            b.edge(s, L[p])
-        for p in r_nbrs[i]:
-            b.edge(s, R[p])
-        w.role_map[f"s_{i + 1}"] = (s,)
-        svs.append(s)
-    w.role_map["S"] = tuple(svs)
-    return b.graph(), w
+    r_len, r_att = _sample_hulls(rng, perm)
+    return _spoke_ladder(l_len, r_len, l_att, r_att)
 
 
 # ---------------------------------------------------------------------------
@@ -460,24 +437,16 @@ def twisted_ladder(k: int) -> Tuple[Graph, StructureWitness]:
     """
     _need(k >= 1, "twisted_ladder needs k >= 1")
     b = _Builder()
-    L = [b.vertex() for _ in range(3 * k + 1)]
-    R = [b.vertex() for _ in range(3 * k + 1)]
-    for seq in (L, R):
-        for u, v in zip(seq, seq[1:]):
-            b.edge(u, v)
+    L, R = b.path(3 * k + 1), b.path(3 * k + 1)
     w = StructureWitness({"L": tuple(L), "R": tuple(R), "x": (L[0],), "y": (R[-1],)})
     svs = []
     for i in range(1, k + 1):
         ai = b.vertex()
         bi = b.vertex()
         # a1_i: two R attachments skipping a2_i, one L attachment at b2_i
-        b.edge(ai, R[3 * i - 2])
-        b.edge(ai, R[3 * i])
-        b.edge(ai, L[3 * i - 2])
+        b.edges += [(ai, R[3 * i - 2]), (ai, R[3 * i]), (ai, L[3 * i - 2])]
         # b1_i: two L attachments skipping b2_i, one R attachment at a2_i
-        b.edge(bi, L[3 * i - 3])
-        b.edge(bi, L[3 * i - 1])
-        b.edge(bi, R[3 * i - 1])
+        b.edges += [(bi, L[3 * i - 3]), (bi, L[3 * i - 1]), (bi, R[3 * i - 1])]
         w.role_map[f"a1_{i}"] = (ai,)
         w.role_map[f"b1_{i}"] = (bi,)
         w.role_map[f"a2_{i}"] = (R[3 * i - 1],)
@@ -600,7 +569,6 @@ def feral_choice_separators(c: int, w: StructureWitness) -> List[VertexSet]:
 
 def subdivide(g: Graph, f: int) -> Graph:
     """Replace each edge by a path on f+1 edges (f new internal vertices)."""
-    _need(f >= 0, "f must be nonnegative")
     sub, _ = subdivide_with_witness(g, f)
     return sub
 
@@ -608,14 +576,10 @@ def subdivide(g: Graph, f: int) -> Graph:
 def subdivide_with_witness(g: Graph, f: int) -> Tuple[Graph, StructureWitness]:
     _need(f >= 0, "f must be nonnegative")
     b = _Builder()
-    for _ in range(g.n):
-        b.vertex()
+    b.count = g.n
     w = StructureWitness({"base": tuple(range(g.n))})
     for u, v in sorted(g.edges()):
-        seq = [u] + [b.vertex() for _ in range(f)] + [v]
-        for x, y in zip(seq, seq[1:]):
-            b.edge(x, y)
-        w.role_map[f"P_{u}_{v}"] = tuple(seq)
+        w.role_map[f"P_{u}_{v}"] = tuple(b.path(f + 2, first=u, last=v))
     return b.graph(), w
 
 
@@ -688,244 +652,107 @@ def _ck_disjoint(parts: Sequence[Iterable[int]], clause: str, out: List[str]) ->
             seen.add(v)
 
 
+def _ck_meets(
+    g: Graph,
+    private: Sequence[Sequence[int]],
+    shared: Sequence[Iterable[int]],
+    cliques: Sequence[Sequence[int]],
+    out: List[str],
+) -> None:
+    """The private parts of the paths are disjoint from each other and from
+    the shared pieces, and parts i and j are adjacent exactly on the pairs
+    (c[i], c[j]) of each clique c."""
+    _ck_disjoint(list(shared) + list(private), "paths share only their common ends", out)
+    for i in range(len(private)):
+        for j in range(i + 1, len(private)):
+            _ck_cross(
+                g,
+                private[i],
+                private[j],
+                [(c[i], c[j]) for c in cliques],
+                "distinct paths meet only along the end cliques",
+                out,
+            )
+
+
+def _ck_edges(g: Graph, expected: Set[Tuple[int, int]], out: List[str]) -> None:
+    """g's edge set is exactly `expected`, given as (min, max) pairs."""
+    actual = {(min(u, v), max(u, v)) for u, v in g.edges()}
+    if actual - expected:
+        out.append("no adjacency outside the construction")
+    if expected - actual:
+        out.append("every construction edge is present")
+
+
 def _hulls_disjoint(
     g: Graph, spokes: Sequence[int], path: Sequence[int], side: str, out: List[str]
 ) -> None:
     pos = {v: i for i, v in enumerate(path)}
-    att = []
-    for s in spokes:
-        att.append(sorted(pos[u] for u in g.neighbors(s) if u in pos))
-    for i in range(len(att)):
-        if not att[i]:
+    if _hulls_overlap([[pos[u] for u in g.neighbors(s) if u in pos] for s in spokes]):
+        out.append(f"attachment hulls on {side} are pairwise disjoint")
+
+
+def _v_bundle(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str]) -> None:
+    min_k, min_len, a_end, b_end = _BUNDLES[spec.family]
+    ps = _indexed(w, "P")
+    k = spec.k or len(ps)
+    if len(ps) != k or k < min_k:
+        out.append(f"at least {min_k} paths, one P role each")
+        return
+    if spec.path_lengths is not None and tuple(len(p) for p in ps) != tuple(spec.path_lengths):
+        out.append("path lengths match the request")
+    ends, shared, cliques, hooks = [], [], [], []
+    for side, kind, name in (("a", a_end, "L"), ("b", b_end, "R")):
+        if kind == _ONE:
+            ends.append([w.one(side)] * k)
+            shared.append(ends[-1][:1])
             continue
-        lo, hi = att[i][0], att[i][-1]
-        for j in range(len(att)):
-            if i != j and any(lo <= p <= hi for p in att[j]):
-                out.append(f"attachment hulls on {side} are pairwise disjoint")
-                return
-
-
-def _v_theta(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str]) -> None:
-    a, b = w.one("a"), w.one("b")
-    ps = _indexed(w, "P")
-    k = spec.k or len(ps)
-    if len(ps) != k or k < 3:
-        out.append("at least 3 paths, one P role each")
-        return
-    if spec.path_lengths is not None and tuple(len(p) for p in ps) != tuple(spec.path_lengths):
-        out.append("path lengths match the request")
-    for i, p in enumerate(ps, 1):
-        if len(p) < 4:
-            out.append(f"P_{i} has at least 4 vertices")
-        if not p or p[0] != a or p[-1] != b:
-            out.append(f"P_{i} runs from a to b")
+        ends.append([w.one(f"{side}_{i}") for i in range(1, k + 1)])
+        if kind == _CLIQUE:
+            cliques.append(ends[-1])
+        else:
+            backbone = _role(w, name)
+            _ck_path(g, backbone, name, out)
+            shared.append(backbone)
+            hooks.append((side, name, backbone, ends[-1]))
+    if len(hooks) == 2:
+        _ck_anti(g, hooks[0][2], hooks[1][2], "L anti-complete R", out)
+    for i, p in enumerate(ps):
+        if len(p) < min_len:
+            out.append(f"P_{i + 1} has at least {min_len} vertices")
+        if not p or p[0] != ends[0][i] or p[-1] != ends[1][i]:
+            out.append(f"P_{i + 1} runs from its a-end to its b-end")
             return
-        _ck_path(g, p, f"P_{i}", out)
-    _ck_disjoint([(a,), (b,)] + [p[1:-1] for p in ps], "path interiors are disjoint", out)
-    for i in range(len(ps)):
-        for j in range(i + 1, len(ps)):
-            _ck_anti(g, ps[i][1:-1], ps[j][1:-1], "path interiors are pairwise anti-complete", out)
+        _ck_path(g, p, f"P_{i + 1}", out)
+    for side, name, backbone, vs in hooks:
+        for i, p in enumerate(ps):
+            rest = p[1:] if side == "a" else p[:-1]
+            _ck_anti(g, rest, backbone, f"only {side}_{i + 1} on P_{i + 1} has neighbors in {name}", out)
+            if not any(g.has_edge(vs[i], u) for u in backbone):
+                out.append(f"{side}_{i + 1} has a neighbor in {name}")
+        _hulls_disjoint(g, vs, backbone, name, out)
+    lo, hi = int(a_end == _ONE), int(b_end == _ONE)
+    _ck_meets(g, [p[lo : len(p) - hi] for p in ps], shared, cliques, out)
 
 
-def _v_prism(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str]) -> None:
+def _v_long(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str], paw: bool) -> None:
+    starts = _role(w, "triangle") if paw else [w.one("v")] * 3
     ps = _indexed(w, "P")
-    k = spec.k or len(ps)
-    if len(ps) != k or k < 3:
-        out.append("at least 3 paths, one P role each")
-        return
-    avs = [w.one(f"a_{i}") for i in range(1, k + 1)]
-    bvs = [w.one(f"b_{i}") for i in range(1, k + 1)]
-    if spec.path_lengths is not None and tuple(len(p) for p in ps) != tuple(spec.path_lengths):
-        out.append("path lengths match the request")
-    for i, p in enumerate(ps, 1):
-        if len(p) < 2:
-            out.append(f"P_{i} has at least 2 vertices")
-        if not p or p[0] != avs[i - 1] or p[-1] != bvs[i - 1]:
-            out.append(f"P_{i} runs from a_{i} to b_{i}")
-            return
-        _ck_path(g, p, f"P_{i}", out)
-    _ck_disjoint(ps, "paths are vertex-disjoint", out)
-    for i in range(k):
-        for j in range(i + 1, k):
-            _ck_cross(
-                g,
-                ps[i],
-                ps[j],
-                [(avs[i], avs[j]), (bvs[i], bvs[j])],
-                "distinct paths meet only along the two cliques",
-                out,
-            )
-
-
-def _v_pyramid(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str]) -> None:
-    a = w.one("a")
-    ps = _indexed(w, "P")
-    k = spec.k or len(ps)
-    if len(ps) != k or k < 3:
-        out.append("at least 3 paths, one P role each")
-        return
-    bvs = [w.one(f"b_{i}") for i in range(1, k + 1)]
-    if spec.path_lengths is not None and tuple(len(p) for p in ps) != tuple(spec.path_lengths):
-        out.append("path lengths match the request")
-    for i, p in enumerate(ps, 1):
-        if len(p) < 3:
-            out.append(f"P_{i} has at least 3 vertices")
-        if not p or p[0] != a or p[-1] != bvs[i - 1]:
-            out.append(f"P_{i} runs from a to b_{i}")
-            return
-        _ck_path(g, p, f"P_{i}", out)
-    _ck_disjoint([(a,)] + [p[1:] for p in ps], "paths share only the apex", out)
-    for i in range(k):
-        for j in range(i + 1, k):
-            _ck_cross(
-                g,
-                ps[i][1:],
-                ps[j][1:],
-                [(bvs[i], bvs[j])],
-                "distinct paths meet only along the clique",
-                out,
-            )
-
-
-def _v_ladder_theta(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str]) -> None:
-    L = _role(w, "L")
-    apex = w.one("b")
-    ps = _indexed(w, "P")
-    k = spec.k or len(ps)
-    if len(ps) != k or k < 3:
-        out.append("at least 3 paths, one P role each")
-        return
-    avs = [w.one(f"a_{i}") for i in range(1, k + 1)]
-    _ck_path(g, L, "L", out)
-    for i, p in enumerate(ps, 1):
-        if len(p) < 3:
-            out.append(f"P_{i} has at least 3 vertices")
-        if not p or p[0] != avs[i - 1] or p[-1] != apex:
-            out.append(f"P_{i} runs from a_{i} to b")
-            return
-        _ck_path(g, p, f"P_{i}", out)
-        _ck_anti(g, p[1:], L, f"only a_{i} on P_{i} has neighbors in L", out)
-        if not any(g.has_edge(avs[i - 1], u) for u in L):
-            out.append(f"a_{i} has a neighbor in L")
-    _ck_disjoint([L, (apex,)] + [p[:-1] for p in ps], "paths share only the apex", out)
-    for i in range(k):
-        for j in range(i + 1, k):
-            _ck_anti(g, ps[i][:-1], ps[j][:-1], "paths are anti-complete away from b", out)
-    _hulls_disjoint(g, avs, L, "L", out)
-
-
-def _v_ladder_prism(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str]) -> None:
-    L = _role(w, "L")
-    ps = _indexed(w, "P")
-    k = spec.k or len(ps)
-    if len(ps) != k or k < 3:
-        out.append("at least 3 paths, one P role each")
-        return
-    avs = [w.one(f"a_{i}") for i in range(1, k + 1)]
-    bvs = [w.one(f"b_{i}") for i in range(1, k + 1)]
-    _ck_path(g, L, "L", out)
-    for i, p in enumerate(ps, 1):
-        if len(p) < 2:
-            out.append(f"P_{i} has at least 2 vertices")
-        if not p or p[0] != avs[i - 1] or p[-1] != bvs[i - 1]:
-            out.append(f"P_{i} runs from a_{i} to b_{i}")
-            return
-        _ck_path(g, p, f"P_{i}", out)
-        _ck_anti(g, p[1:], L, f"only a_{i} on P_{i} has neighbors in L", out)
-        if not any(g.has_edge(avs[i - 1], u) for u in L):
-            out.append(f"a_{i} has a neighbor in L")
-    _ck_disjoint([L] + list(ps), "paths are vertex-disjoint", out)
-    for i in range(k):
-        for j in range(i + 1, k):
-            _ck_cross(
-                g,
-                ps[i],
-                ps[j],
-                [(bvs[i], bvs[j])],
-                "distinct paths meet only along the clique",
-                out,
-            )
-    _hulls_disjoint(g, avs, L, "L", out)
-
-
-def _v_ladder(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str]) -> None:
-    L, R = _role(w, "L"), _role(w, "R")
-    ps = _indexed(w, "P")
-    k = spec.k or len(ps)
-    if len(ps) != k or k < 1:
-        out.append("at least 1 path, one P role each")
-        return
-    avs = [w.one(f"a_{i}") for i in range(1, k + 1)]
-    bvs = [w.one(f"b_{i}") for i in range(1, k + 1)]
-    _ck_path(g, L, "L", out)
-    _ck_path(g, R, "R", out)
-    _ck_anti(g, L, R, "L anti-complete R", out)
-    for i, p in enumerate(ps, 1):
-        if len(p) < 2:
-            out.append(f"P_{i} has at least 2 vertices")
-        if not p or p[0] != avs[i - 1] or p[-1] != bvs[i - 1]:
-            out.append(f"P_{i} runs from a_{i} to b_{i}")
-            return
-        _ck_path(g, p, f"P_{i}", out)
-        _ck_anti(g, p[1:], L, f"only a_{i} on P_{i} has neighbors in L", out)
-        _ck_anti(g, p[:-1], R, f"only b_{i} on P_{i} has neighbors in R", out)
-        if not any(g.has_edge(avs[i - 1], u) for u in L):
-            out.append(f"a_{i} has a neighbor in L")
-        if not any(g.has_edge(bvs[i - 1], u) for u in R):
-            out.append(f"b_{i} has a neighbor in R")
-    _ck_disjoint([L, R] + list(ps), "pieces are vertex-disjoint", out)
-    for i in range(k):
-        for j in range(i + 1, k):
-            _ck_anti(g, ps[i], ps[j], "bridge paths are pairwise anti-complete", out)
-    _hulls_disjoint(g, avs, L, "L", out)
-    _hulls_disjoint(g, bvs, R, "R", out)
-
-
-def _v_long_claw(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str]) -> None:
-    v = w.one("v")
-    ps = _indexed(w, "P")
-    if len(ps) != 3:
-        out.append("three arm paths")
+    if len(starts) != 3 or len(ps) != 3:
+        out.append("a branch vertex or triangle and three arm paths")
         return
     arm = spec.arm_length if spec.arm_length is not None else (spec.k or len(ps[0]))
-    for i, (p, leaf) in enumerate(zip(ps, "abc"), 1):
+    for i, (p, start, leaf) in enumerate(zip(ps, starts, "abc"), 1):
         if len(p) != arm:
             out.append(f"P_{i} has exactly {arm} vertices")
-        if not p or p[0] != v or w.one(leaf) != p[-1]:
-            out.append(f"P_{i} runs from v to the {leaf} leaf")
+        if not p or p[0] != start or w.one(leaf) != p[-1]:
+            out.append(f"P_{i} runs from its branch vertex to the {leaf} leaf")
             return
         _ck_path(g, p, f"P_{i}", out)
-    _ck_disjoint([(v,)] + [p[1:] for p in ps], "arms share only the center", out)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            _ck_anti(g, ps[i][1:], ps[j][1:], "arms are anti-complete away from v", out)
-
-
-def _v_long_paw(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str]) -> None:
-    tri = _role(w, "triangle")
-    ps = _indexed(w, "P")
-    if len(tri) != 3 or len(ps) != 3:
-        out.append("a triangle and three arm paths")
-        return
-    arm = spec.arm_length if spec.arm_length is not None else (spec.k or len(ps[0]))
-    for i, (p, leaf) in enumerate(zip(ps, "abc"), 1):
-        if len(p) != arm:
-            out.append(f"P_{i} has exactly {arm} vertices")
-        if not p or p[0] != tri[i - 1] or w.one(leaf) != p[-1]:
-            out.append(f"P_{i} runs from its triangle corner to the {leaf} leaf")
-            return
-        _ck_path(g, p, f"P_{i}", out)
-    _ck_disjoint(ps, "arms are vertex-disjoint", out)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            _ck_cross(
-                g,
-                ps[i],
-                ps[j],
-                [(tri[i], tri[j])],
-                "distinct arms meet only along the triangle",
-                out,
-            )
+    if paw:
+        _ck_meets(g, ps, [], [starts], out)
+    else:
+        _ck_meets(g, [p[1:] for p in ps], [starts[:1]], [], out)
 
 
 def _v_copies(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str], paw: bool) -> None:
@@ -943,7 +770,7 @@ def _v_copies(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str], p
         for j in (1, 2, 3):
             subw.role_map[f"P_{j}"] = _role(w, f"P_{i}_{j}")
         before = len(out)
-        (_v_long_paw if paw else _v_long_claw)(g, sub_spec, subw, out)
+        _v_long(g, sub_spec, subw, out, paw)
         if len(out) > before:
             out[before:] = [f"copy {i}: {msg}" for msg in out[before:]]
         member = set()
@@ -956,12 +783,15 @@ def _v_copies(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str], p
             _ck_anti(g, copies[i], copies[j], "copies are pairwise anti-complete", out)
 
 
-def _v_skinny(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str]) -> None:
+def _v_spokes(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str], skinny: bool) -> None:
+    """Almost-skinny: each spoke sees L and R only, in disjoint hulls on
+    each.  Skinny adds that L and R have k vertices and each spoke joins
+    the same single position on both."""
     L, R = _role(w, "L"), _role(w, "R")
-    svs = [w.one(f"s_{i}") for i in range(1, len(_indexed(w, "s")) + 1)]
+    svs = [s for (s,) in _indexed(w, "s")]
     k = spec.k or len(svs)
-    if not (len(L) == len(R) == len(svs) == k) or k < 1:
-        out.append("L, R and the spokes all have size k")
+    if len(svs) != k or k < 1 or (skinny and not len(L) == len(R) == k):
+        out.append("one spoke role per index up to k" + (", L and R of size k" if skinny else ""))
         return
     if set(_role(w, "S")) != set(svs):
         out.append("S lists exactly the spokes")
@@ -971,41 +801,16 @@ def _v_skinny(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str]) -
     _ck_disjoint([L, R, svs], "pieces are vertex-disjoint", out)
     lpos = {v: i for i, v in enumerate(L)}
     rpos = {v: i for i, v in enumerate(R)}
-    rungs = []
-    for s in svs:
+    for i, s in enumerate(svs, 1):
         nb = g.neighbors(s)
         pl = [lpos[u] for u in nb if u in lpos]
         pr = [rpos[u] for u in nb if u in rpos]
-        if len(nb) != 2 or len(pl) != 1 or len(pr) != 1 or pl[0] != pr[0]:
-            out.append("each spoke joins exactly one matching rung of L and R")
-            return
-        rungs.append(pl[0])
-    if sorted(rungs) != list(range(k)):
-        out.append("one spoke per rung")
-
-
-def _v_almost_skinny(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str]) -> None:
-    L, R = _role(w, "L"), _role(w, "R")
-    svs = [w.one(f"s_{i}") for i in range(1, len(_indexed(w, "s")) + 1)]
-    k = spec.k or len(svs)
-    if len(svs) != k or k < 1:
-        out.append("one spoke role per index up to k")
-        return
-    if set(_role(w, "S")) != set(svs):
-        out.append("S lists exactly the spokes")
-    _ck_path(g, L, "L", out)
-    _ck_path(g, R, "R", out)
-    _ck_anti(g, L, R, "L anti-complete R", out)
-    _ck_disjoint([L, R, svs], "pieces are vertex-disjoint", out)
-    lset, rset = set(L), set(R)
-    for i, s in enumerate(svs, 1):
-        nb = set(g.neighbors(s))
-        if not nb & lset:
-            out.append(f"s_{i} has a neighbor in L")
-        if not nb & rset:
-            out.append(f"s_{i} has a neighbor in R")
-        if nb - lset - rset:
+        if not pl or not pr:
+            out.append(f"s_{i} has neighbors in L and in R")
+        if len(pl) + len(pr) != len(nb):
             out.append("spokes attach only to L and R")
+        if skinny and not (len(pl) == 1 and pl == pr):
+            out.append(f"s_{i} joins one matching rung of L and R")
     _hulls_disjoint(g, svs, L, "L", out)
     _hulls_disjoint(g, svs, R, "R", out)
 
@@ -1093,25 +898,19 @@ def _v_feral(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str], pa
     for i in range(1 << (c - 1), 1 << c):
         for arm in "bc":
             want(w.one(f"{arm}_1_{i}"), w.one(f"{arm}_2_{i}"))
-    actual = {(min(u, v), max(u, v)) for u, v in g.edges()}
-    if actual - expected:
-        out.append("no adjacency outside the construction")
-    if expected - actual:
-        out.append("every construction edge is present")
+    _ck_edges(g, expected, out)
 
 
 def _v_subdivision(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str]) -> None:
-    base = _role(w, "base")
-    paths = {
-        name: vs for name, vs in w.role_map.items() if name.startswith("P_") and name != "P"
-    }
-    bset = set(base)
+    base = set(_role(w, "base"))
     f = None
     internals = []
-    for name, p in sorted(paths.items()):
+    expected = set()
+    for name, p in sorted(w.role_map.items()):
+        if not name.startswith("P_"):
+            continue
         _, su, sv = name.split("_")
-        u, v = int(su), int(sv)
-        if not p or p[0] != u or p[-1] != v:
+        if not p or p[0] != int(su) or p[-1] != int(sv):
             out.append(f"{name} runs between its base endpoints")
             return
         if f is None:
@@ -1119,41 +918,24 @@ def _v_subdivision(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[st
         if len(p) - 2 != f:
             out.append("every edge is subdivided the same number of times")
         _ck_path(g, p, name, out)
-        if set(p[1:-1]) & bset:
+        if set(p[1:-1]) & base:
             out.append("subdivision vertices are new")
         internals.append(p[1:-1])
+        expected.update((min(u, v), max(u, v)) for u, v in zip(p, p[1:]))
     if spec.k and f is not None and f != spec.k:
         out.append("subdivision count matches the request")
     _ck_disjoint(internals, "subdivision paths are internally disjoint", out)
-    for i in range(len(internals)):
-        for j in range(i + 1, len(internals)):
-            _ck_anti(g, internals[i], internals[j], "subdivision paths are anti-complete", out)
-    ends = {tuple(sorted((p[0], p[-1]))) for p in paths.values()}
-    for u in base:
-        for v in base:
-            if u < v and g.has_edge(u, v) and (f or 0) > 0:
-                out.append("base vertices keep no direct edges once subdivided")
-                return
-    if (f or 0) == 0:
-        for u, v in ends:
-            if not g.has_edge(u, v):
-                out.append("zero-step subdivision keeps the base edges")
-                return
+    _ck_edges(g, expected, out)
 
 
 _VERIFIERS = {
-    "theta": _v_theta,
-    "prism": _v_prism,
-    "pyramid": _v_pyramid,
-    "ladder_theta": _v_ladder_theta,
-    "ladder_prism": _v_ladder_prism,
-    "ladder": _v_ladder,
-    "long_claw": _v_long_claw,
-    "long_paw": _v_long_paw,
+    **{fam: _v_bundle for fam in _BUNDLES},
+    "long_claw": lambda g, s, w, o: _v_long(g, s, w, o, paw=False),
+    "long_paw": lambda g, s, w, o: _v_long(g, s, w, o, paw=True),
     "claw": lambda g, s, w, o: _v_copies(g, s, w, o, paw=False),
     "paw": lambda g, s, w, o: _v_copies(g, s, w, o, paw=True),
-    "skinny_ladder": _v_skinny,
-    "almost_skinny_ladder": _v_almost_skinny,
+    "skinny_ladder": lambda g, s, w, o: _v_spokes(g, s, w, o, skinny=True),
+    "almost_skinny_ladder": lambda g, s, w, o: _v_spokes(g, s, w, o, skinny=False),
     "twisted_ladder": _v_twisted,
     "claw_feral": lambda g, s, w, o: _v_feral(g, s, w, o, paw=False),
     "paw_feral": lambda g, s, w, o: _v_feral(g, s, w, o, paw=True),
@@ -1191,83 +973,26 @@ def generate(spec: FamilySpec) -> Tuple[Graph, StructureWitness]:
     if fam not in FAMILY_NAMES:
         raise ValueError(f"unknown family {fam!r}")
     k = spec.k
-    if fam == "theta":
-        return theta(spec.path_lengths or (4,) * k)
-    if fam == "prism":
-        return prism(spec.path_lengths or (2,) * k)
-    if fam == "pyramid":
-        return pyramid(spec.path_lengths or (3,) * k)
-    if fam in ("ladder_theta", "ladder_prism", "ladder"):
+    if fam in _BUNDLES:
+        if _BUNDLES[fam][2] != _PATH:
+            lengths = spec.path_lengths or (_BUNDLES[fam][1],) * k
+            return _bundle(fam, len(lengths), lengths)
         if spec.layout_seed is not None:
             rng = random.Random(spec.layout_seed)
-            return sampled_ladder_instance(fam, k, rng, max_len=None, lengths=spec.path_lengths)
-        if fam == "ladder_theta":
-            return ladder_theta(k, spec.path_lengths)
-        if fam == "ladder_prism":
-            return ladder_prism(k, spec.path_lengths)
-        return ladder(k, spec.path_lengths)
-    if fam == "claw":
-        return claw(k)
-    if fam == "paw":
-        return paw(k)
-    if fam == "long_claw":
-        return long_claw(spec.arm_length if spec.arm_length is not None else k)
-    if fam == "long_paw":
-        return long_paw(spec.arm_length if spec.arm_length is not None else k)
+            return sampled_ladder_instance(fam, k, rng, lengths=spec.path_lengths)
+        return _bundle(fam, k, spec.path_lengths)
+    if fam in ("claw", "paw"):
+        return _copies(k, paw=fam == "paw")
+    if fam in ("long_claw", "long_paw"):
+        return _long(spec.arm_length if spec.arm_length is not None else k, paw=fam == "long_paw")
     if fam == "skinny_ladder":
         return skinny_ladder(k)
     if fam == "almost_skinny_ladder":
         return almost_skinny_ladder(k, spec.layout_seed)
     if fam == "twisted_ladder":
         return twisted_ladder(k)
-    if fam == "claw_feral":
-        _need(spec.c is not None, "claw_feral needs c")
-        return claw_feral(spec.c, spec.arm_length if spec.arm_length is not None else 6)
-    if fam == "paw_feral":
-        _need(spec.c is not None, "paw_feral needs c")
-        return paw_feral(spec.c, spec.arm_length if spec.arm_length is not None else 6)
-    if fam == "subdivision":
-        _need(spec.base_graph is not None, "subdivision needs base_graph")
-        return subdivide_with_witness(spec.base_graph, k)
-    raise AssertionError
-
-
-def sampled_ladder_instance(
-    fam: str,
-    k: int,
-    rng: random.Random,
-    max_len: Optional[int] = None,
-    lengths: Optional[Sequence[int]] = None,
-) -> Tuple[Graph, StructureWitness]:
-    """One random layout of a ladder-type family: backbone lengths, disjoint
-    attachment hulls in shuffled order, and (optionally) random path lengths."""
-    min_len = 3 if fam == "ladder_theta" else 2
-    if lengths is None:
-        hi = max_len if max_len is not None else min_len + 3
-        lengths = tuple(rng.randint(min_len, hi) for _ in range(k))
-
-    def side(order: Sequence[int]):
-        pos = rng.randint(0, 1)
-        att: Dict[int, List[int]] = {}
-        for spoke in order:
-            size = rng.randint(1, 3)
-            cells = list(range(pos, pos + size))
-            chosen = {cells[0], cells[-1]}
-            for cm in cells[1:-1]:
-                if rng.random() < 0.5:
-                    chosen.add(cm)
-            att[spoke] = sorted(chosen)
-            pos += size + rng.randint(0, 2)
-        return [att[i] for i in range(k)], pos + rng.randint(0, 1)
-
-    perm = list(range(k))
-    rng.shuffle(perm)
-    attach, l_len = side(perm)
-    if fam == "ladder_theta":
-        return ladder_theta(k, lengths, l_len, attach)
-    if fam == "ladder_prism":
-        return ladder_prism(k, lengths, l_len, attach)
-    perm2 = list(range(k))
-    rng.shuffle(perm2)
-    r_attach, r_len = side(perm2)
-    return ladder(k, lengths, l_len, attach, r_len, r_attach)
+    if fam in ("claw_feral", "paw_feral"):
+        _need(spec.c is not None, "%s needs c", fam)
+        return _feral(spec.c, spec.arm_length if spec.arm_length is not None else 6, fam == "paw_feral")
+    _need(spec.base_graph is not None, "subdivision needs base_graph")
+    return subdivide_with_witness(spec.base_graph, k)

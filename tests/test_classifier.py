@@ -1,11 +1,8 @@
-import random
-
 import pytest
 
 from sepscope.classifier import (
     QUASI_TAME_TYPES,
     TAME_TYPES,
-    ClassificationVerdict,
     ForbiddenFamily,
     RepresentativeBudget,
     classify,

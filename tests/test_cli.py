@@ -1,7 +1,5 @@
 import json
 
-import pytest
-
 from sepscope.cli import main
 from sepscope.families import twisted_ladder
 from sepscope.graphs import format_edge_list, parse_edge_list

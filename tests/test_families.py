@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -28,7 +29,7 @@ from sepscope.families import (
     twisted_ladder,
     verify_witness,
 )
-from sepscope.graphs import Graph, are_isomorphic
+from sepscope.graphs import Graph
 from sepscope.separators import enumerate_closure, full_components, is_minimal_separator
 
 
@@ -79,6 +80,14 @@ def test_ladder_types_verify():
             assert ok, f"{fam}(k={k}): {violations}"
 
 
+def test_attachment_hulls_must_be_disjoint():
+    with pytest.raises(ValueError, match="hulls on L"):
+        ladder_theta(3, l_len=4, attach=((0, 2), (1,), (3,)))
+    g, w = ladder(2)
+    bad = Graph(g.n, g.edges() + [(w.one("a_1"), w.role_map["L"][1])])
+    ok, _ = verify_witness(bad, spec_for("ladder", k=2), w)
+    assert not ok
+
 def test_claw_paw_copies():
     g, _ = claw(3)
     single, _ = long_claw(3)
@@ -96,6 +105,11 @@ def test_skinny_ladder_shape():
     # spokes are an induced matching between the two paths
     spokes = w.role_map["S"]
     assert len(spokes) == 3
+    # crossing two rungs keeps every degree and hull but breaks the matching
+    g, w = skinny_ladder(2)
+    L, R, (s1, s2) = w.role_map["L"], w.role_map["R"], w.role_map["S"]
+    crossed = [(L[0], L[1]), (R[0], R[1]), (s1, L[0]), (s1, R[1]), (s2, L[1]), (s2, R[0])]
+    assert not verify_witness(Graph(g.n, crossed), spec_for("skinny_ladder", k=2), w)[0]
 
 
 def test_almost_skinny_layouts_verify():
@@ -201,3 +215,127 @@ def test_ladder_monotonicity_small():
     small, _ = skinny_ladder(2)
     big, _ = skinny_ladder(3)
     assert find_induced_subgraph(big, small).found
+
+
+def test_claw_and_paw_name_themselves_when_k_is_below_two():
+    for maker, fam in ((claw, "claw"), (paw, "paw")):
+        with pytest.raises(ValueError, match=f"^{fam} needs k >= 2"):
+            maker(1)
+
+
+def test_subdivision_verifier_rejects_extra_edges():
+    tri = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    g, w = subdivide_with_witness(tri, 1)
+    inner = w.role_map["P_1_2"][1]
+    bad = Graph(g.n, list(g.edges()) + [(0, inner)])
+    ok, _ = verify_witness(bad, spec_for("subdivision", k=1, base_graph=tri), w)
+    assert not ok
+    p3 = Graph(3, [(0, 1), (1, 2)])
+    g, w = subdivide_with_witness(p3, 0)
+    bad = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    ok, _ = verify_witness(bad, spec_for("subdivision", k=0, base_graph=p3), w)
+    assert not ok
+
+
+def _mutation_specs():
+    base = Graph(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
+    specs = [
+        spec_for("theta", k=3),
+        spec_for("prism", k=3),
+        spec_for("pyramid", k=3),
+        spec_for("ladder_theta", k=3),
+        spec_for("ladder_prism", k=3),
+        spec_for("ladder", k=3),
+        spec_for("claw", k=2),
+        spec_for("paw", k=2),
+        spec_for("long_claw", arm_length=3),
+        spec_for("long_paw", arm_length=3),
+        spec_for("skinny_ladder", k=3),
+        spec_for("almost_skinny_ladder", k=3, layout_seed=5),
+        spec_for("twisted_ladder", k=2),
+        spec_for("claw_feral", c=1, arm_length=3),
+        spec_for("paw_feral", c=1, arm_length=3),
+    ]
+    specs += [spec_for("subdivision", k=f, base_graph=base) for f in (0, 1, 2)]
+    return specs
+
+
+def _attachment_pairs(w):
+    """Spoke-to-backbone pairs, the toggles a ladder-type witness may absorb."""
+    roles = w.role_map
+    L, R = set(roles.get("L", ())), set(roles.get("R", ()))
+    out = set()
+    for name, (v, *_) in roles.items():
+        side = {"a": L, "b": R, "s": L | R}.get(name.split("_")[0]) if "_" in name else None
+        for u in side or ():
+            out.add((min(u, v), max(u, v)))
+    return out
+
+
+def test_verifiers_reject_every_single_edge_toggle():
+    lenient = {"ladder_theta", "ladder_prism", "ladder", "almost_skinny_ladder"}
+    accepted = []
+    for spec in _mutation_specs():
+        g, w = generate(spec)
+        assert verify_witness(g, spec, w)[0], spec.family
+        edges = set(g.edges())
+        skip = _attachment_pairs(w) if spec.family in lenient else set()
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                if (u, v) in skip:
+                    continue
+                mutant = Graph(g.n, edges ^ {(u, v)})
+                if verify_witness(mutant, spec, w)[0]:
+                    accepted.append((spec.family, spec.k, (u, v)))
+    assert not accepted
+
+
+def _pin_cases():
+    tri = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    paw4 = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    cases = []
+    for lengths in ((4, 4, 4), (4, 5, 6), (5, 4, 4, 7)):
+        cases.append(theta(lengths))
+    for lengths in ((2, 2, 2), (2, 3, 4), (3, 2, 2, 2)):
+        cases.append(prism(lengths))
+    for lengths in ((3, 3, 3), (3, 4, 5), (4, 3, 3, 3)):
+        cases.append(pyramid(lengths))
+    for k in (3, 4):
+        cases += [ladder_theta(k), ladder_prism(k), ladder(k)]
+    cases.append(ladder(1))
+    cases.append(ladder(2, (3, 2)))
+    cases.append(ladder_theta(3, (3, 4, 5), 7, ((0, 1), (3,), (5, 6))))
+    cases.append(ladder_prism(3, (2, 3, 2), 6, ((5,), (0, 2), (3,))))
+    cases.append(ladder(3, (2, 3, 4), 6, ((0,), (2, 3), (5,)), 5, ((4,), (0,), (2,))))
+    rng = random.Random(99)
+    for fam in ("ladder_theta", "ladder_prism", "ladder"):
+        for k in (3, 4):
+            cases.append(sampled_ladder_instance(fam, k, rng))
+            cases.append(sampled_ladder_instance(fam, k, rng, max_len=5))
+            cases.append(sampled_ladder_instance(fam, k, rng, lengths=(4,) * k))
+        for seed in (0, 1):
+            cases.append(generate(FamilySpec(fam, k=3, layout_seed=seed)))
+    for k in (2, 3):
+        cases += [claw(k), paw(k)]
+    for arm in (2, 3, 4):
+        cases += [long_claw(arm), long_paw(arm)]
+    cases += [skinny_ladder(k) for k in (1, 2, 3, 4)]
+    for k in (1, 3, 4, 9):
+        for seed in (None, 0, 1, 7000, 7049):
+            cases.append(almost_skinny_ladder(k, layout_seed=seed))
+    cases += [twisted_ladder(k) for k in (1, 2, 3)]
+    for c, h in ((1, 3), (2, 6)):
+        cases += [claw_feral(c, h), paw_feral(c, h)]
+    for base in (tri, paw4):
+        cases += [subdivide_with_witness(base, f) for f in (0, 1, 2)]
+    return cases
+
+
+def test_generators_are_pinned():
+    # taken from the generators before they were merged into one per shape
+    digest = hashlib.sha256()
+    cases = _pin_cases()
+    for g, w in cases:
+        digest.update(repr((g.n, sorted(g.edges()), sorted(w.role_map.items()))).encode())
+    assert len(cases) == 91
+    assert digest.hexdigest() == "3f04ce1aa413cba6d2ea1ea4cb8ebeb4939805f82a5ee489b9f554705a90d105"
