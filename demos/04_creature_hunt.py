@@ -20,7 +20,7 @@ def main():
             problems = validate_creature(g, verdict.witness)
             line += f" validated={'yes' if not problems else problems}"
         print(line)
-    print(f"  max creature order: {max_creature_order(g, cap=5)}")
+    print(f"  max creature order: {max_creature_order(g, k_max=5)}")
     print()
 
     g, _ = skinny_ladder(3)

@@ -6,6 +6,7 @@ and classify finite forbidden-subgraph families as tame or feral.
 """
 
 from .graphs import (
+    BudgetExhausted,
     Graph,
     GraphError,
     are_isomorphic,
@@ -19,7 +20,6 @@ from .graphs import (
 )
 from .separators import (
     BranchResult,
-    CapExceeded,
     SeparatorRecord,
     ShatterResult,
     TraceFamily,
@@ -49,7 +49,6 @@ from .detectors import (
     ABSENT,
     FOUND,
     UNKNOWN,
-    BudgetExceeded,
     CreatureWitness,
     MinorWitness,
     SearchVerdict,
@@ -68,7 +67,6 @@ from .classifier import (
     TAME_TYPES,
     ClassificationVerdict,
     ForbiddenFamily,
-    RepresentativeBudget,
     classify,
     forbids_family_type,
     reduce_degree_two_paths,

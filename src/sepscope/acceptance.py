@@ -68,10 +68,10 @@ def _oracle_lists(n_max: int) -> List[List[tuple]]:
 
 
 def _creature_orders(n_max: int) -> List[int]:
-    # a k-creature needs 2k+2 vertices, so cap 3 is exhaustive for n <= 8
+    # a k-creature needs 2k+2 vertices, so k_max 3 is exhaustive for n <= 8
     key = f"orders{n_max}"
     if key not in _shared:
-        _shared[key] = [max_creature_order(g, cap=3) for g in _corpus(n_max)]
+        _shared[key] = [max_creature_order(g, k_max=3) for g in _corpus(n_max)]
     return _shared[key]  # type: ignore[return-value]
 
 
@@ -224,7 +224,7 @@ def criterion_8() -> Row:
     """Trace families fit the n^{k*+1} bound with k* = creature order + 1."""
     corpus = _corpus(7)
     oracle = _oracle_lists(7)
-    orders = [max_creature_order(g, cap=3) for g in corpus]
+    orders = [max_creature_order(g, k_max=3) for g in corpus]
     checked = 0
     problems = 0
     for g, seps, order in zip(corpus, oracle, orders):

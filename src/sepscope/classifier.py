@@ -23,6 +23,7 @@ instance that avoids every member, checked exhaustively.
 
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
+from math import comb
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -37,7 +38,7 @@ from .families import (
     sampled_ladder_instance,
     theta,
 )
-from .graphs import Graph, contract_edge
+from .graphs import BudgetExhausted, Graph, contract_edge
 
 QUASI_TAME_TYPES = (
     "theta",
@@ -52,9 +53,10 @@ QUASI_TAME_TYPES = (
 # the tame criterion drops the prism-like types and adds cliques
 TAME_TYPES = ("clique", "theta", "ladder_theta", "claw", "paw")
 
-
-class RepresentativeBudget(RuntimeError):
-    """The representative set for a family type exceeds the instance cap."""
+# sampled layouts per ladder type and k, and the most length multisets a
+# theta/prism/pyramid sweep may build; both are reported under `caps`
+SAMPLE = 64
+MAX_INSTANCES = 30000
 
 
 @dataclass(frozen=True)
@@ -179,18 +181,12 @@ def _contains_member(
     return None, capped
 
 
-def _length_sweep(k: int, lo: int, cap: int, count_only: bool = False):
-    if count_only:
-        total = 1
-        span = cap - lo + 1
-        for i in range(k):
-            total = total * (span + i) // (i + 1)
-        return total
-    return combinations_with_replacement(range(lo, cap + 1), k)
+def _representatives(family_type, k, length_cap, seed):
+    """Yield (graph, description) for every checked representative.
 
-
-def _representatives(family_type, k, cap, seed, sample, max_instances):
-    """Yield (graph, description) for every checked representative."""
+    Raises BudgetExhausted, after the all-minimum instance, when a length
+    sweep would build more than MAX_INSTANCES graphs.
+    """
     if family_type in ("theta", "prism", "pyramid"):
         maker, lo = {
             "theta": (theta, 4),
@@ -201,13 +197,13 @@ def _representatives(family_type, k, cap, seed, sample, max_instances):
         # budget gate, so feral certificates never pay for the full sweep
         g, _ = maker((lo,) * k)
         yield g, f"{family_type}(k={k}, lengths={[lo] * k})"
-        total = _length_sweep(k, lo, cap, count_only=True)
-        if total > max_instances:
-            raise RepresentativeBudget(
-                f"{family_type} at k={k}, cap={cap}: {total} length multisets "
-                f"exceed the {max_instances} instance cap"
+        total = comb(length_cap - lo + k, k)
+        if total > MAX_INSTANCES:
+            raise BudgetExhausted(
+                f"{family_type} at k={k}, cap={length_cap}: {total} length multisets "
+                f"exceed the {MAX_INSTANCES} instance cap"
             )
-        for lengths in _length_sweep(k, lo, cap):
+        for lengths in combinations_with_replacement(range(lo, length_cap + 1), k):
             if all(l == lo for l in lengths):
                 continue
             g, _ = maker(lengths)
@@ -218,8 +214,8 @@ def _representatives(family_type, k, cap, seed, sample, max_instances):
         g, _ = maker(k)
         yield g, f"{family_type}(k={k}, layout=canonical)"
         rng = random.Random(seed)
-        for i in range(sample):
-            g, _ = sampled_ladder_instance(family_type, k, rng, max_len=min(cap, 7))
+        for i in range(SAMPLE):
+            g, _ = sampled_ladder_instance(family_type, k, rng, max_len=min(length_cap, 7))
             yield g, f"{family_type}(k={k}, layout=sampled[{i}])"
         return
     if family_type == "claw":
@@ -239,16 +235,17 @@ def forbids_family_type(
     k: int,
     length_cap: int,
     seed: int = 1,
-    sample: int = 64,
-    max_instances: int = 30000,
     budget: int = 10_000_000,
-) -> Tuple[bool, dict]:
+) -> Tuple[Optional[bool], dict]:
     """Does every capped representative of family_type contain a member of hh?
 
     True comes with an embedding certificate (which members carried the
     sweep, how many instances were checked, and whether layouts were
     exhaustive or canonical+sampled).  False comes with one concrete
-    representative that avoids every member, checked exhaustively.
+    representative that avoids every member, checked exhaustively.  None
+    comes with an `error` when the sweep exceeds MAX_INSTANCES or a member
+    search exhausts its budget (search nodes per member and instance)
+    before any avoider is certified.
     """
     if family_type not in QUASI_TAME_TYPES:
         raise ValueError(f"family type must be one of {QUASI_TAME_TYPES}")
@@ -258,24 +255,27 @@ def forbids_family_type(
     checked = 0
     # smallest members first
     order = sorted(range(len(hh.members)), key=lambda i: hh.members[i].n)
-    for g, desc in _representatives(family_type, k, length_cap, seed, sample, max_instances):
-        checked += 1
-        idx, capped = _contains_member(g, hh, order, budget)
-        if idx is None:
-            if capped:
-                raise RepresentativeBudget(
-                    f"{family_type} at k={k}: member search on {desc} hit its budget"
-                )
-            return False, {
-                "forbidden": False,
-                "family_type": family_type,
-                "k": k,
-                "mode": mode,
-                "instance": desc,
-                "n": g.n,
-                "edges": [list(e) for e in g.edges()],
-            }
-        used[idx] = used.get(idx, 0) + 1
+    try:
+        for g, desc in _representatives(family_type, k, length_cap, seed):
+            checked += 1
+            idx, capped = _contains_member(g, hh, order, budget)
+            if idx is None:
+                if capped:
+                    raise BudgetExhausted(
+                        f"{family_type} at k={k}: member search on {desc} hit its budget"
+                    )
+                return False, {
+                    "forbidden": False,
+                    "family_type": family_type,
+                    "k": k,
+                    "mode": mode,
+                    "instance": desc,
+                    "n": g.n,
+                    "edges": [list(e) for e in g.edges()],
+                }
+            used[idx] = used.get(idx, 0) + 1
+    except BudgetExhausted as exc:
+        return None, {"forbidden": None, "family_type": family_type, "k": k, "error": str(exc)}
     return True, {
         "forbidden": True,
         "family_type": family_type,
@@ -291,8 +291,6 @@ def classify(
     k_max: int = 6,
     length_cap: Optional[int] = None,
     seed: int = 1,
-    sample: int = 64,
-    max_instances: int = 30000,
     budget: int = 10_000_000,
 ) -> ClassificationVerdict:
     """Scan k = 3..k_max for a witness that hh forbids all seven types.
@@ -301,7 +299,8 @@ def classify(
     complete member blocks large cliques (the remaining tame types are among
     the seven already certified).  Miss at k_max with a concrete avoiding
     representative: feral with that instance as evidence.  Otherwise
-    inconclusive (budget gaps).
+    inconclusive (budget gaps).  The budget counts search nodes per
+    member-containment test.
     """
     if k_max < 3:
         raise ValueError("k_max must be at least 3")
@@ -310,26 +309,17 @@ def classify(
     caps = {
         "k_max": k_max,
         "length_cap": cap,
-        "sample": sample,
-        "max_instances": max_instances,
+        "sample": SAMPLE,
+        "max_instances": MAX_INSTANCES,
         "h": h_eff,
     }
-
-    def probe(t, k):
-        try:
-            return forbids_family_type(
-                hh, t, k, cap, seed=seed, sample=sample,
-                max_instances=max_instances, budget=budget,
-            )
-        except RepresentativeBudget as exc:
-            return None, {"forbidden": None, "family_type": t, "k": k, "error": str(exc)}
 
     final_row: Dict[str, dict] = {}
     for k in range(3, k_max + 1):
         row: Dict[str, dict] = {}
         all_forbidden = True
         for t in QUASI_TAME_TYPES:
-            ok, ev = probe(t, k)
+            ok, ev = forbids_family_type(hh, t, k, cap, seed=seed, budget=budget)
             row[t] = ev
             if ok is not True:
                 all_forbidden = False

@@ -6,13 +6,18 @@ Every subcommand assembles the same report envelope:
      "results": {...}, "elapsed_ms": ..., "complete": ...}
 
 dumped with sorted keys so runs are byte-identical for identical inputs.
-Detection outcomes are data, not errors: found, absent and
-budget-exhausted all exit 0; only unusable inputs exit nonzero.
---stable-output zeroes elapsed_ms for diff-friendly golden files.
+Outcomes are data, not errors: found, absent and a run-out budget
+(`complete: false`) all exit 0.  Exit code 2 means malformed input only;
+verify exits 1 when a criterion fails.  --stable-output zeroes elapsed_ms
+for diff-friendly golden files.
+
+A subcommand's budget is the --budget flag, else SEPSCOPE_BUDGET, else the
+default in the signature of the route it runs, which also defines its unit.
 """
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -31,13 +36,8 @@ from .detectors import (
     longest_induced_cycle_at_least,
 )
 from .families import FAMILY_NAMES, FamilySpec, generate, verify_witness
-from .graphs import Graph, GraphError, format_edge_list, parse_edge_list
-from .separators import (
-    CapExceeded,
-    enumerate_branching,
-    enumerate_closure,
-    enumerate_oracle,
-)
+from .graphs import BudgetExhausted, Graph, GraphError, format_edge_list, parse_edge_list
+from .separators import enumerate_branching, enumerate_closure, enumerate_oracle
 
 
 class CliError(Exception):
@@ -48,10 +48,13 @@ def _sha256(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _default_budget(fallback: int) -> int:
+def _budget(args, route) -> int:
+    """The --budget flag, else SEPSCOPE_BUDGET, else route's own default."""
+    if args.budget is not None:
+        return args.budget
     env = os.environ.get("SEPSCOPE_BUDGET")
     if env is None:
-        return fallback
+        return inspect.signature(route).parameters["budget"].default
     try:
         return int(env)
     except ValueError:
@@ -217,22 +220,21 @@ def cmd_gen(args) -> int:
 
 def cmd_enum(args) -> int:
     g = _load_graph(args.graph)
-    budget = args.budget if args.budget is not None else _default_budget(2_000_000)
     started = time.monotonic()
     extra = {}
-    if args.algo == "oracle":
+    if args.algo != "branching":
+        route = enumerate_oracle if args.algo == "oracle" else enumerate_closure
+        budget = _budget(args, route)
         try:
-            seps = enumerate_oracle(g)
-        except CapExceeded as exc:
-            raise CliError(str(exc))
-        complete = True
-    elif args.algo == "closure":
-        seps = enumerate_closure(g)
-        complete = True
+            seps = route(g, budget=budget)
+            complete = True
+        except BudgetExhausted:
+            seps, complete = [], False
     else:
         if args.k is None:
             raise CliError("--algo branching needs --k (domination bound)")
-        res = enumerate_branching(g, args.k, node_cap=budget)
+        budget = _budget(args, enumerate_branching)
+        res = enumerate_branching(g, args.k, budget=budget)
         seps = res.filtered
         complete = res.complete
         extra = {
@@ -267,7 +269,7 @@ def cmd_detect(args) -> int:
     if args.kind == "creature":
         if args.k is None:
             raise CliError("detect creature needs --k")
-        budget = args.budget if args.budget is not None else _default_budget(100_000_000)
+        budget = _budget(args, find_creature)
         verdict = find_creature(g, args.k, budget=budget)
         config.update(k=args.k, budget=budget)
     elif args.kind in ("subgraph", "minor"):
@@ -275,20 +277,14 @@ def cmd_detect(args) -> int:
             raise CliError(f"detect {args.kind} needs a pattern graph file")
         h = _load_graph(args.pattern)
         inputs.append(args.pattern)
-        if args.kind == "subgraph":
-            budget = args.budget if args.budget is not None else _default_budget(10_000_000)
-            verdict = find_induced_subgraph(g, h, budget=budget)
-        else:
-            budget = args.budget if args.budget is not None else _default_budget(2_000_000)
-            try:
-                verdict = find_induced_minor(g, h, budget=budget)
-            except ValueError as exc:
-                raise CliError(str(exc))
+        route = find_induced_subgraph if args.kind == "subgraph" else find_induced_minor
+        budget = _budget(args, route)
+        verdict = route(g, h, budget=budget)
         config.update(budget=budget, pattern_n=h.n, pattern_m=h.m)
     else:
         if args.r is None:
             raise CliError("detect cycle needs --r")
-        budget = args.budget if args.budget is not None else _default_budget(10_000_000)
+        budget = _budget(args, longest_induced_cycle_at_least)
         verdict = longest_induced_cycle_at_least(g, args.r, budget=budget)
         config.update(r=args.r, budget=budget)
     elapsed = int((time.monotonic() - started) * 1000)
@@ -317,7 +313,7 @@ def cmd_classify(args) -> int:
     if not paths:
         raise CliError(f"no edge-list files (.el/.txt/.edges) in {args.dir}")
     members = tuple(_load_graph(p) for p in paths)
-    budget = args.budget if args.budget is not None else _default_budget(10_000_000)
+    budget = _budget(args, classify)
     started = time.monotonic()
     try:
         verdict = classify(
@@ -399,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--algo", choices=("oracle", "closure", "branching"), default="closure")
     p.add_argument("--k", type=int, help="domination bound for --algo branching")
-    p.add_argument("--budget", type=int, help="node cap for branching")
+    p.add_argument("--budget", type=int, help="work budget, unit per --algo (env SEPSCOPE_BUDGET)")
     common(p)
     p.set_defaults(fn=cmd_enum)
 

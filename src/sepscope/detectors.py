@@ -1,7 +1,8 @@
 """Exhaustive desk-scale searches for the obstruction structures.
 
-Every search returns a SearchVerdict whose status separates "exhaustively
-absent" from "budget ran out"; acceptance logic may only trust the former.
+Every search takes a `budget` of search nodes and returns a SearchVerdict
+whose status separates "exhaustively absent" from "budget ran out"
+(unknown_budget); acceptance logic may only trust the former.
 Witnesses re-validate against the raw definitions independently of how the
 search found them.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .graphs import Graph, bits, mask_of, set_of
+from .graphs import BudgetExhausted, Graph, bits, mask_of, set_of
 from .families import FamilySpec, StructureWitness, skinny_ladder, verify_witness
 
 VertexSet = Tuple[int, ...]
@@ -47,10 +48,6 @@ class MinorWitness:
 
     def as_dict(self) -> Dict[int, VertexSet]:
         return dict(self.branch_sets)
-
-
-class BudgetExceeded(RuntimeError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +193,7 @@ def find_induced_subgraph(g: Graph, h: Graph, budget: int = 10_000_000) -> Searc
             cand ^= b
             nodes += 1
             if nodes > budget:
-                raise BudgetExceeded
+                raise BudgetExhausted
             img[d] = b.bit_length() - 1
             if rec(d + 1, used | b):
                 return True
@@ -204,7 +201,7 @@ def find_induced_subgraph(g: Graph, h: Graph, budget: int = 10_000_000) -> Searc
 
     try:
         got = rec(0, 0)
-    except BudgetExceeded:
+    except BudgetExhausted:
         return SearchVerdict(UNKNOWN, None, nodes)
     if not got:
         return SearchVerdict(ABSENT, None, nodes)
@@ -235,19 +232,16 @@ def _connected_subsets(g: Graph, allowed: int, seen_budget: Set[int]) -> Iterabl
                     stack.append(s | (1 << v))
 
 
-def find_induced_minor(
-    g: Graph, h: Graph, budget: int = 2_000_000, cap: int = 14
-) -> SearchVerdict:
+def find_induced_minor(g: Graph, h: Graph, budget: int = 2_000_000) -> SearchVerdict:
     """Exact induced-minor test by branch-set growth.
 
     Assigns each h-vertex a connected branch set, pairwise disjoint, with
     edges between sets exactly where h has edges; unassigned g-vertices are
     deleted.  h-vertices are processed in descending degree order; sets are
     enumerated lowest-index-anchored within the region still allowed by the
-    non-adjacency constraints.
+    non-adjacency constraints.  Every branch set tried costs one node of
+    the budget.
     """
-    if g.n > cap:
-        raise ValueError(f"induced minor search capped at n <= {cap}")
     if h.n == 0:
         return SearchVerdict(FOUND, MinorWitness(()), 0)
     if h.n > g.n:
@@ -275,7 +269,7 @@ def find_induced_minor(
         for s in _connected_subsets(g, allowed, seen):
             nodes += 1
             if nodes > budget:
-                raise BudgetExceeded
+                raise BudgetExhausted
             if any(not (req & s) for req in needed):
                 continue
             chosen[u] = s
@@ -287,7 +281,7 @@ def find_induced_minor(
 
     try:
         got = rec(0, g.full_mask())
-    except BudgetExceeded:
+    except BudgetExhausted:
         return SearchVerdict(UNKNOWN, None, nodes)
     if got is None:
         return SearchVerdict(ABSENT, None, nodes)
@@ -324,7 +318,8 @@ def find_creature(g: Graph, k: int, budget: int = 100_000_000) -> SearchVerdict:
     from each anchor in N(x_1) (every A meets it), avoiding the anchors
     already tried, and stops once it dominates X: if then no component of the
     B-region covers Y, no larger A can work, since growing A only shrinks the
-    B-region.  B is a component of that B-region that dominates Y.
+    B-region.  B is a component of that B-region that dominates Y.  The
+    budget counts placed pairs and A sets tried.
     """
     if k < 1:
         raise ValueError("creature order must be at least 1")
@@ -357,7 +352,7 @@ def find_creature(g: Graph, k: int, budget: int = 100_000_000) -> SearchVerdict:
             for x, y in ((u, v), (v, u)) if xs else ((u, v),):
                 nodes += 1
                 if nodes > budget:
-                    raise BudgetExceeded
+                    raise BudgetExhausted
                 if nbr[x] & ym or nbr[y] & xm:
                     continue
                 xs.append(x)
@@ -371,7 +366,7 @@ def find_creature(g: Graph, k: int, budget: int = 100_000_000) -> SearchVerdict:
 
     try:
         got = place(0, 0, 0, 0, 0)
-    except BudgetExceeded:
+    except BudgetExhausted:
         return SearchVerdict(UNKNOWN, None, nodes)
     if got is None:
         return SearchVerdict(ABSENT, None, nodes)
@@ -409,7 +404,7 @@ def _creature_ab(
             seen.add(amask)
             nodes += 1
             if nodes > budget:
-                raise BudgetExceeded
+                raise BudgetExhausted
             if all(req & amask for req in xneed):
                 comp = b_for(amask)
                 if comp is not None:
@@ -420,17 +415,18 @@ def _creature_ab(
     return None, nodes
 
 
-def max_creature_order(g: Graph, cap: int, budget: int = 100_000_000) -> int:
-    """Largest k <= cap for which a k-creature exists; 0 when none.
+def max_creature_order(g: Graph, k_max: int, budget: int = 100_000_000) -> int:
+    """Largest k <= k_max for which a k-creature exists; 0 when none.
 
     Dropping a pair turns a k-creature into a (k-1)-creature, so the first
-    absent order ends the scan.
+    absent order ends the scan.  Each order's search gets the budget; one
+    that runs out raises BudgetExhausted.
     """
     best = 0
-    for k in range(1, cap + 1):
+    for k in range(1, k_max + 1):
         verdict = find_creature(g, k, budget=budget)
         if verdict.status == UNKNOWN:
-            raise BudgetExceeded(f"creature search for order {k} ran out of budget")
+            raise BudgetExhausted(f"creature search for order {k} ran out of budget")
         if not verdict.found:
             break
         best = k
@@ -446,7 +442,8 @@ def longest_induced_cycle_at_least(g: Graph, r: int, budget: int = 10_000_000) -
     """Induced cycle with at least r vertices, by induced-path extension.
 
     Paths are rooted at their smallest vertex and may only use larger
-    vertices, so each candidate cycle is explored once up to rotation.
+    vertices, so each candidate cycle is explored once up to rotation.  The
+    budget counts paths expanded.
     """
     if r < 3:
         raise ValueError("cycles need at least 3 vertices")

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .graphs import Graph, disjoint_union
+from .graphs import Graph, disjoint_union, mask_of
 
 VertexSet = Tuple[int, ...]
 
@@ -948,9 +948,10 @@ def verify_witness(
 ) -> Tuple[bool, List[str]]:
     """Clause-by-clause check of a structure witness against its family.
 
-    Returns (ok, violations).  Checks anti-completeness, domination,
-    adjacency-iff and interval clauses over the named roles; role names the
-    family does not define are ignored, missing ones raise.
+    Returns (ok, violations).  Checks that every vertex lies in some role,
+    then anti-completeness, domination, adjacency-iff and interval clauses
+    over the named roles; role names the family does not define are
+    ignored, missing ones raise.
     """
     if spec.family not in FAMILY_NAMES:
         raise ValueError(f"unknown family {spec.family!r}")
@@ -959,6 +960,8 @@ def verify_witness(
             if not (0 <= v < g.n):
                 raise ValueError(f"role {name!r} references vertex {v} outside the graph")
     out: List[str] = []
+    if mask_of(v for vs in w.role_map.values() for v in vs) != g.full_mask():
+        out.append("every vertex lies in some role")
     _VERIFIERS[spec.family](g, spec, w, out)
     return (not out), out
 
@@ -976,7 +979,7 @@ def generate(spec: FamilySpec) -> Tuple[Graph, StructureWitness]:
     if fam in _BUNDLES:
         if _BUNDLES[fam][2] != _PATH:
             lengths = spec.path_lengths or (_BUNDLES[fam][1],) * k
-            return _bundle(fam, len(lengths), lengths)
+            return _bundle(fam, k or len(lengths), lengths)
         if spec.layout_seed is not None:
             rng = random.Random(spec.layout_seed)
             return sampled_ladder_instance(fam, k, rng, lengths=spec.path_lengths)

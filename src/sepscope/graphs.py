@@ -18,6 +18,10 @@ class GraphError(ValueError):
     """Raised for malformed graph construction or parse input."""
 
 
+class BudgetExhausted(RuntimeError):
+    """An exponential route used up its `budget` before it could finish."""
+
+
 def mask_of(vertices: Iterable[int]) -> int:
     m = 0
     for v in vertices:

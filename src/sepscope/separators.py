@@ -25,13 +25,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .graphs import Graph, bits, flood, mask_of, set_of
+from .graphs import BudgetExhausted, Graph, bits, flood, mask_of, set_of
 
 VertexSet = Tuple[int, ...]
-
-
-class CapExceeded(RuntimeError):
-    """An exhaustive routine was asked to exceed its configured cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +150,17 @@ def _min_sep_masks_in(nbr: Sequence[int], wmask: int) -> List[int]:
     return out
 
 
-def enumerate_oracle(g: Graph, cap: int = 16) -> List[VertexSet]:
+def enumerate_oracle(g: Graph, budget: int = 2_000_000) -> List[VertexSet]:
     """Every minimal separator, found by testing every vertex subset.
 
-    Exponential in n; refuses graphs above the cap so nothing silently
-    stalls.  Output sorted lexicographically.
+    The budget counts subsets tested.  All 2^n - 1 nonempty ones are, so a
+    graph whose count exceeds the budget is refused up front with
+    BudgetExhausted.  Output sorted lexicographically.
     """
-    if g.n > cap:
-        raise CapExceeded(f"oracle enumeration capped at n <= {cap}, got n={g.n}")
+    if (1 << g.n) - 1 > budget:
+        raise BudgetExhausted(
+            f"oracle enumeration tests 2^{g.n} - 1 subsets, over the budget of {budget}"
+        )
     masks = _min_sep_masks_in(g._nbr, g.full_mask())
     return sorted(set_of(m) for m in masks)
 
@@ -171,13 +170,14 @@ def enumerate_oracle(g: Graph, cap: int = 16) -> List[VertexSet]:
 # ---------------------------------------------------------------------------
 
 
-def _closure_masks(nbr: Sequence[int], wmask: int) -> Set[int]:
+def _closure_masks(nbr: Sequence[int], wmask: int, budget: int) -> Set[int]:
     """Minimal separator masks of the graph induced on wmask, by closure.
 
     Seeds: N(C) for every component C of G[W] - N[v], every v in W.
     Expansion: for a found separator S and x in S, every N(C) for C a
     component of G[W] - (S + N[x]).  N(C) is read off the flood's reach, and
-    every new candidate is certified before it is kept.
+    every new candidate is certified before it is kept.  The budget counts
+    separators certified; certifying one more raises BudgetExhausted.
     """
     found: Set[int] = set()
     queue: List[int] = []
@@ -188,6 +188,8 @@ def _closure_masks(nbr: Sequence[int], wmask: int) -> Set[int]:
             region &= ~comp
             smask = reach & wmask & ~comp
             if smask and smask not in found and _is_min_sep_in(nbr, wmask, smask):
+                if len(found) == budget:
+                    raise BudgetExhausted(f"closure certified more than {budget} separators")
                 found.add(smask)
                 queue.append(smask)
 
@@ -200,12 +202,14 @@ def _closure_masks(nbr: Sequence[int], wmask: int) -> Set[int]:
     return found
 
 
-def enumerate_closure(g: Graph) -> List[VertexSet]:
+def enumerate_closure(g: Graph, budget: int = 2_000_000) -> List[VertexSet]:
     """Minimal separators by seeded closure (see _closure_masks).
 
-    Equality with the oracle is part of the acceptance suite.
+    The budget counts separators certified; past it the closure raises
+    BudgetExhausted.  Equality with the oracle is part of the acceptance
+    suite.
     """
-    return sorted(set_of(m) for m in _closure_masks(g._nbr, g.full_mask()))
+    return sorted(set_of(m) for m in _closure_masks(g._nbr, g.full_mask(), budget))
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +277,11 @@ class TraceFamily:
 
 
 def trace_family(
-    g: Graph, v: int, separators: Optional[Iterable[VertexSet]] = None, cap: int = 16
+    g: Graph, v: int, separators: Optional[Iterable[VertexSet]] = None, budget: int = 2_000_000
 ) -> TraceFamily:
+    """Traces of v; without separators they come from enumerate_oracle(g, budget)."""
     if separators is None:
-        separators = enumerate_oracle(g, cap=cap)
+        separators = enumerate_oracle(g, budget=budget)
     nv = g.nbr_mask(v)
     seen = set()
     for s in separators:
@@ -291,27 +296,21 @@ def trace_family(
 class ShatterResult:
     dimension: int
     witness: VertexSet
-    exact: bool
 
 
-def shattered_set_max(
-    traces: Iterable[VertexSet], size_cap: Optional[int] = None
-) -> ShatterResult:
+def shattered_set_max(traces: Iterable[VertexSet]) -> ShatterResult:
     """Largest set shattered by the trace family, by exhaustive search.
 
     Convention: the empty family and the family {()} both report dimension 0
-    with the empty witness.  When size_cap stops the ascent early the result
-    is flagged exact=False (a lower bound).
+    with the empty witness.
     """
     fam = [mask_of(t) for t in traces]
     universe = 0
     for m in fam:
         universe |= m
     uni = set_of(universe)
-    limit = len(uni) if size_cap is None else min(size_cap, len(uni))
-    best = ShatterResult(0, (), True)
-    d = 1
-    while d <= limit:
+    best = ShatterResult(0, ())
+    for d in range(1, len(uni) + 1):
         hit = None
         for combo in itertools.combinations(uni, d):
             hmask = mask_of(combo)
@@ -324,11 +323,9 @@ def shattered_set_max(
                 hit = combo
                 break
         if hit is None:
-            return ShatterResult(best.dimension, best.witness, True)
-        best = ShatterResult(d, hit, True)
-        d += 1
-    exact = limit == len(uni)
-    return ShatterResult(best.dimension, best.witness, exact)
+            break
+        best = ShatterResult(d, hit)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +337,14 @@ def domination_number(
     g: Graph,
     target: Iterable[int],
     candidates: Iterable[int],
-    node_cap: int = 1 << 24,
+    budget: int = 1 << 24,
 ) -> Tuple[int, VertexSet]:
     """Smallest X within candidates with target a subset of N[X], exact.
 
     Greedy upper bound followed by branch and bound on the least-covered
-    target vertex.  Raises ValueError when some target vertex has no
-    dominator among the candidates, CapExceeded past node_cap nodes.
+    target vertex.  The budget counts branch-and-bound nodes.  Raises
+    ValueError when some target vertex has no dominator among the
+    candidates, BudgetExhausted past the budget.
     """
     tmask = mask_of(target)
     cands = sorted(set(candidates))
@@ -383,8 +381,8 @@ def domination_number(
     def bnb(uncovered: int, chosen: List[int], start_excluded: frozenset) -> None:
         nonlocal nodes, best_size, best_set
         nodes += 1
-        if nodes > node_cap:
-            raise CapExceeded("domination branch and bound node cap exceeded")
+        if nodes > budget:
+            raise BudgetExhausted(f"domination branch and bound passed {budget} nodes")
         if not uncovered:
             if len(chosen) < best_size:
                 best_size = len(chosen)
@@ -425,7 +423,7 @@ class BranchResult:
 
     raw is the returned candidate collection (internal empty-set seeds are
     dropped); filtered keeps only certified minimal separators of the input
-    graph.  complete is False when the node cap truncated the recursion.
+    graph.  complete is False when the budget truncated the recursion.
     """
 
     raw: Tuple[VertexSet, ...]
@@ -440,7 +438,7 @@ def enumerate_branching(
     g: Graph,
     k: int,
     active: Optional[Iterable[int]] = None,
-    node_cap: int = 2_000_000,
+    budget: int = 2_000_000,
 ) -> BranchResult:
     """Branching enumeration of minimal separators inside the active set.
 
@@ -462,7 +460,9 @@ def enumerate_branching(
     Tie-break and exploration order: ascending vertex index everywhere.
     States are memoized on (W, X); traces come from the closure run on the
     current induced subgraph G[W], so each node costs polynomial work per
-    separator of G[W] and node_cap bounds the run.
+    separator of G[W].  The budget counts recursion nodes, and bounds each
+    trace closure's separators too; when either runs out the result is
+    partial and complete is False.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -471,13 +471,19 @@ def enumerate_branching(
     if x0 & ~full:
         raise ValueError("active set out of range")
     nbr = g._nbr
+    truncated = False
 
     seps_cache: Dict[int, Set[int]] = {}
 
     def seps_of(wmask: int) -> Set[int]:
+        nonlocal truncated
         got = seps_cache.get(wmask)
         if got is None:
-            got = _closure_masks(nbr, wmask)
+            try:
+                got = _closure_masks(nbr, wmask, budget)
+            except BudgetExhausted:
+                truncated = True
+                got = set()
             seps_cache[wmask] = got
         return got
 
@@ -495,7 +501,6 @@ def enumerate_branching(
 
     memo: Dict[Tuple[int, int], frozenset] = {}
     nodes = 0
-    truncated = False
 
     def rec(wmask: int, xmask: int) -> frozenset:
         nonlocal nodes, truncated
@@ -506,7 +511,7 @@ def enumerate_branching(
         if truncated:
             return frozenset((0,))
         nodes += 1
-        if nodes > node_cap:
+        if nodes > budget:
             truncated = True
             return frozenset((0,))
         if xmask == 0:

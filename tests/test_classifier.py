@@ -4,7 +4,6 @@ from sepscope.classifier import (
     QUASI_TAME_TYPES,
     TAME_TYPES,
     ForbiddenFamily,
-    RepresentativeBudget,
     classify,
     forbids_family_type,
     reduce_degree_two_paths,
@@ -65,9 +64,15 @@ def test_forbids_is_false_for_triangle_family_with_certificate():
 
 
 def test_representative_budget_raises():
-    with pytest.raises(RepresentativeBudget):
-        forbids_family_type(ForbiddenFamily((P3,)), "theta", 6,
-                            length_cap=40, max_instances=10)
+    # C(42, 6) = 5,245,786 theta length multisets exceed MAX_INSTANCES
+    ok, ev = forbids_family_type(ForbiddenFamily((P3,)), "theta", 6, length_cap=40)
+    assert ok is None
+    assert ev == {
+        "forbidden": None,
+        "family_type": "theta",
+        "k": 6,
+        "error": "theta at k=6, cap=40: 5245786 length multisets exceed the 30000 instance cap",
+    }
 
 
 def test_classify_p3_is_strongly_quasi_tame():

@@ -2,7 +2,7 @@ import json
 
 from sepscope.cli import main
 from sepscope.families import twisted_ladder
-from sepscope.graphs import format_edge_list, parse_edge_list
+from sepscope.graphs import Graph, format_edge_list, parse_edge_list
 
 
 def write(tmp_path, name, text):
@@ -42,6 +42,16 @@ def test_gen_honors_out_and_lengths(tmp_path, capsys):
     assert code == 0
     g = parse_edge_list((tmp_path / "t4.el").read_text())
     assert g.n == 10
+
+
+def test_gen_rejects_a_length_list_of_another_size_than_k(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for fam, lengths in (("theta", "4,4,4,4"), ("prism", "2,2"), ("pyramid", "3,3,3,3")):
+        code, _, err = run(capsys, "gen", fam, "--k", "3", "--len", lengths)
+        assert code == 2 and "one length per path" in err, err
+    # without --k the list sets the number of paths
+    code, _, _ = run(capsys, "gen", "theta", "--len", "4,4,4,4", "--out", "t")
+    assert code == 0 and parse_edge_list((tmp_path / "t.el").read_text()).n == 10
 
 
 def test_gen_unknown_family_errors(tmp_path, capsys):
@@ -94,6 +104,21 @@ def test_enum_branching_budget_bounds_the_run(tmp_path, capsys):
     assert doc["results"]["nodes"] == 2001
 
 
+def test_enum_oracle_over_budget_is_incomplete_not_an_error(tmp_path, capsys):
+    p21 = write(tmp_path, "p21.el", format_edge_list(Graph(21, [(i, i + 1) for i in range(20)])))
+    doc = run_json(capsys, "enum", p21, "--algo", "oracle")
+    assert doc["complete"] is False and doc["config"]["budget"] == 2_000_000
+    p4 = write(tmp_path, "p4.el", "4 3\n0 1\n1 2\n2 3\n")
+    doc = run_json(capsys, "enum", p4, "--algo", "oracle", "--budget", "5")
+    assert doc["complete"] is False and doc["config"]["budget"] == 5
+
+
+def test_enum_closure_budget_bounds_the_run(tmp_path, capsys):
+    el = write(tmp_path, "tl2.el", format_edge_list(twisted_ladder(2)[0]))
+    doc = run_json(capsys, "enum", el, "--algo", "closure", "--budget", "10")
+    assert doc["complete"] is False and doc["results"]["complete"] is False
+
+
 def test_enum_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, "enum", str(tmp_path / "nope.el"))
     assert code == 2 and "no such file" in err
@@ -115,6 +140,13 @@ def test_detect_outcomes_are_exit_zero(tmp_path, capsys):
     assert doc["results"]["status"] == "found"
     assert doc["results"]["witness"]["branch_sets"]
     doc = run_json(capsys, "detect", "subgraph", c6, k3)
+    assert doc["results"]["status"] == "absent_exhaustive"
+
+
+def test_detect_minor_has_no_vertex_cap(tmp_path, capsys):
+    p15 = write(tmp_path, "p15.el", format_edge_list(Graph(15, [(i, i + 1) for i in range(14)])))
+    k3 = write(tmp_path, "k3.el", "3 3\n0 1\n0 2\n1 2\n")
+    doc = run_json(capsys, "detect", "minor", p15, k3)
     assert doc["results"]["status"] == "absent_exhaustive"
 
 

@@ -237,6 +237,18 @@ def test_subdivision_verifier_rejects_extra_edges():
     assert not ok
 
 
+def test_verifiers_reject_a_vertex_outside_every_role():
+    for spec, (g, w) in (
+        (spec_for("theta", k=3, path_lengths=(4, 4, 4)), theta((4, 4, 4))),
+        (spec_for("prism", k=3, path_lengths=(2, 2, 2)), prism((2, 2, 2))),
+        (spec_for("skinny_ladder", k=3), skinny_ladder(3)),
+        (spec_for("twisted_ladder", k=1), twisted_ladder(1)),
+    ):
+        extra = Graph(g.n + 1, list(g.edges()) + [(0, g.n)])
+        ok, bad = verify_witness(extra, spec, w)
+        assert not ok and "every vertex lies in some role" in bad, spec.family
+
+
 def _mutation_specs():
     base = Graph(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
     specs = [

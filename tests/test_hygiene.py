@@ -1,6 +1,12 @@
-"""Static checks over the source tree: no imported name goes unused."""
+"""Static checks over the source tree.
+
+No imported name goes unused; src/ defines no exception class beyond the
+three the package needs, and every exponential route names its bound
+`budget`.
+"""
 
 import ast
+import builtins
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,3 +41,49 @@ def test_no_unused_imports():
             for line, name in unused_imports(path.read_text()):
                 found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+EXCEPTIONS = {"GraphError", "BudgetExhausted", "CliError"}
+RETIRED_BOUNDS = {"cap", "node_cap", "size_cap", "max_instances"}
+
+
+def _builtin_exception(name: str) -> bool:
+    cls = getattr(builtins, name, None)
+    return isinstance(cls, type) and issubclass(cls, BaseException)
+
+
+def budget_convention_faults(source: str):
+    """Exception classes outside EXCEPTIONS and parameters in RETIRED_BOUNDS."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name not in EXCEPTIONS:
+            bases = [b.id for b in node.bases if isinstance(b, ast.Name)]
+            if any(b in EXCEPTIONS or _builtin_exception(b) for b in bases):
+                out.append((node.lineno, f"exception class {node.name}"))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            for arg in a.posonlyargs + a.args + a.kwonlyargs:
+                if arg.arg in RETIRED_BOUNDS:
+                    out.append((node.lineno, f"parameter {arg.arg}"))
+    return out
+
+
+def test_budget_convention_helper_sees_classes_and_parameters():
+    src = (
+        "class CapExceeded(RuntimeError): pass\n"
+        "class Fine: pass\n"
+        "class BudgetExhausted(RuntimeError): pass\n"
+        "def f(g, cap=3, *, budget=1): pass\n"
+        "def h(node_cap): pass\n"
+    )
+    assert budget_convention_faults(src) == [
+        (1, "exception class CapExceeded"), (4, "parameter cap"), (5, "parameter node_cap"),
+    ]
+
+
+def test_one_budget_exception_and_no_retired_bound_names():
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for line, what in budget_convention_faults(path.read_text()):
+            found.append(f"{path.relative_to(ROOT)}:{line}: {what}")
+    assert not found, "budget convention:\n" + "\n".join(found)

@@ -4,9 +4,8 @@ import pytest
 
 from sepscope.corpus import erdos_renyi, nonisomorphic_graphs
 from sepscope.cli import result_doc
-from sepscope.graphs import Graph
+from sepscope.graphs import BudgetExhausted, Graph
 from sepscope.separators import (
-    CapExceeded,
     _closure_masks,
     _min_sep_masks_in,
     close_separator,
@@ -61,8 +60,8 @@ def test_oracle_disconnected_has_no_empty_separator():
 
 
 def test_oracle_cap():
-    with pytest.raises(CapExceeded):
-        enumerate_oracle(path(20), cap=16)
+    with pytest.raises(BudgetExhausted):
+        enumerate_oracle(path(20), budget=1 << 16)
 
 
 def test_is_minimal_separator():
@@ -108,7 +107,8 @@ def test_closure_matches_oracle_inside_proper_vertex_subsets():
         w = g.full_mask()
         while w == g.full_mask():
             w = sum(1 << v for v in range(n) if rng.random() < 0.75)
-        assert _closure_masks(g._nbr, w) == set(_min_sep_masks_in(g._nbr, w)), (g.edges(), w)
+        got = _closure_masks(g._nbr, w, 1 << n)
+        assert got == set(_min_sep_masks_in(g._nbr, w)), (g.edges(), w)
 
 
 def test_branching_filters_to_oracle():
@@ -131,6 +131,23 @@ def test_branching_small_k_is_still_sound():
     g = cycle(6)
     res = enumerate_branching(g, 1)
     assert set(res.filtered) <= set(enumerate_oracle(g))
+
+
+def test_budgets_of_the_separator_routes():
+    g = cycle(8)  # 20 minimal separators, the non-adjacent pairs
+    assert len(enumerate_oracle(g, budget=255)) == 20
+    with pytest.raises(BudgetExhausted):
+        enumerate_oracle(g, budget=254)
+    assert len(enumerate_closure(g, budget=20)) == 20
+    with pytest.raises(BudgetExhausted):
+        enumerate_closure(g, budget=19)
+    assert enumerate_branching(g, 2, budget=632).complete
+    assert not enumerate_branching(g, 2, budget=631).complete
+    # the first trace closure runs out before the node budget does
+    res = enumerate_branching(g, 2, budget=19)
+    assert not res.complete and res.nodes == 1
+    with pytest.raises(BudgetExhausted):
+        domination_number(g, range(8), range(8), budget=0)
 
 
 def test_close_separator_on_cycle():
