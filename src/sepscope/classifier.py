@@ -235,6 +235,7 @@ def forbids_family_type(
     k: int,
     length_cap: int,
     seed: int = 1,
+    *,
     budget: int = 10_000_000,
 ) -> Tuple[Optional[bool], dict]:
     """Does every capped representative of family_type contain a member of hh?
@@ -291,6 +292,7 @@ def classify(
     k_max: int = 6,
     length_cap: Optional[int] = None,
     seed: int = 1,
+    *,
     budget: int = 10_000_000,
 ) -> ClassificationVerdict:
     """Scan k = 3..k_max for a witness that hh forbids all seven types.

@@ -11,8 +11,8 @@ Outcomes are data, not errors: found, absent and a run-out budget
 verify exits 1 when a criterion fails.  --stable-output zeroes elapsed_ms
 for diff-friendly golden files.
 
-A subcommand's budget is the --budget flag, else SEPSCOPE_BUDGET, else the
-default in the signature of the route it runs, which also defines its unit.
+A budget is --budget, else SEPSCOPE_BUDGET, else the keyword-only `budget`
+default of the route run; the route's docstring gives its unit.
 """
 
 import argparse
@@ -54,7 +54,7 @@ def _budget(args, route) -> int:
         return args.budget
     env = os.environ.get("SEPSCOPE_BUDGET")
     if env is None:
-        return inspect.signature(route).parameters["budget"].default
+        return inspect.unwrap(route).__kwdefaults__["budget"]
     try:
         return int(env)
     except ValueError:
@@ -226,8 +226,7 @@ def cmd_enum(args) -> int:
         route = enumerate_oracle if args.algo == "oracle" else enumerate_closure
         budget = _budget(args, route)
         try:
-            seps = route(g, budget=budget)
-            complete = True
+            seps, complete = route(g, budget=budget), True
         except BudgetExhausted:
             seps, complete = [], False
     else:

@@ -126,7 +126,7 @@ def validate_minor_witness(g: Graph, h: Graph, w: MinorWitness) -> List[str]:
 # ---------------------------------------------------------------------------
 
 
-def find_induced_subgraph(g: Graph, h: Graph, budget: int = 10_000_000) -> SearchVerdict:
+def find_induced_subgraph(g: Graph, h: Graph, *, budget: int = 10_000_000) -> SearchVerdict:
     """Injective embedding of h into g preserving adjacency and non-adjacency.
 
     Backtracking over h-vertices.  The next h-vertex placed is the one with
@@ -232,7 +232,7 @@ def _connected_subsets(g: Graph, allowed: int, seen_budget: Set[int]) -> Iterabl
                     stack.append(s | (1 << v))
 
 
-def find_induced_minor(g: Graph, h: Graph, budget: int = 2_000_000) -> SearchVerdict:
+def find_induced_minor(g: Graph, h: Graph, *, budget: int = 2_000_000) -> SearchVerdict:
     """Exact induced-minor test by branch-set growth.
 
     Assigns each h-vertex a connected branch set, pairwise disjoint, with
@@ -297,7 +297,7 @@ def find_induced_minor(g: Graph, h: Graph, budget: int = 2_000_000) -> SearchVer
 # ---------------------------------------------------------------------------
 
 
-def find_creature(g: Graph, k: int, budget: int = 100_000_000) -> SearchVerdict:
+def find_creature(g: Graph, k: int, *, budget: int = 100_000_000) -> SearchVerdict:
     """Exhaustive k-creature search that prunes every partial row.
 
     Rows are built one (x_i, y_i) pair at a time from the edges in sorted
@@ -415,7 +415,7 @@ def _creature_ab(
     return None, nodes
 
 
-def max_creature_order(g: Graph, k_max: int, budget: int = 100_000_000) -> int:
+def max_creature_order(g: Graph, k_max: int, *, budget: int = 100_000_000) -> int:
     """Largest k <= k_max for which a k-creature exists; 0 when none.
 
     Dropping a pair turns a k-creature into a (k-1)-creature, so the first
@@ -438,7 +438,9 @@ def max_creature_order(g: Graph, k_max: int, budget: int = 100_000_000) -> int:
 # ---------------------------------------------------------------------------
 
 
-def longest_induced_cycle_at_least(g: Graph, r: int, budget: int = 10_000_000) -> SearchVerdict:
+def longest_induced_cycle_at_least(
+    g: Graph, r: int, *, budget: int = 10_000_000
+) -> SearchVerdict:
     """Induced cycle with at least r vertices, by induced-path extension.
 
     Paths are rooted at their smallest vertex and may only use larger

@@ -150,7 +150,7 @@ def _min_sep_masks_in(nbr: Sequence[int], wmask: int) -> List[int]:
     return out
 
 
-def enumerate_oracle(g: Graph, budget: int = 2_000_000) -> List[VertexSet]:
+def enumerate_oracle(g: Graph, *, budget: int = 2_000_000) -> List[VertexSet]:
     """Every minimal separator, found by testing every vertex subset.
 
     The budget counts subsets tested.  All 2^n - 1 nonempty ones are, so a
@@ -202,7 +202,7 @@ def _closure_masks(nbr: Sequence[int], wmask: int, budget: int) -> Set[int]:
     return found
 
 
-def enumerate_closure(g: Graph, budget: int = 2_000_000) -> List[VertexSet]:
+def enumerate_closure(g: Graph, *, budget: int = 2_000_000) -> List[VertexSet]:
     """Minimal separators by seeded closure (see _closure_masks).
 
     The budget counts separators certified; past it the closure raises
@@ -277,7 +277,7 @@ class TraceFamily:
 
 
 def trace_family(
-    g: Graph, v: int, separators: Optional[Iterable[VertexSet]] = None, budget: int = 2_000_000
+    g: Graph, v: int, separators: Optional[Iterable[VertexSet]] = None, *, budget: int = 2_000_000
 ) -> TraceFamily:
     """Traces of v; without separators they come from enumerate_oracle(g, budget)."""
     if separators is None:
@@ -337,6 +337,7 @@ def domination_number(
     g: Graph,
     target: Iterable[int],
     candidates: Iterable[int],
+    *,
     budget: int = 1 << 24,
 ) -> Tuple[int, VertexSet]:
     """Smallest X within candidates with target a subset of N[X], exact.
@@ -438,6 +439,7 @@ def enumerate_branching(
     g: Graph,
     k: int,
     active: Optional[Iterable[int]] = None,
+    *,
     budget: int = 2_000_000,
 ) -> BranchResult:
     """Branching enumeration of minimal separators inside the active set.
