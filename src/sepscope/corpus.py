@@ -1,7 +1,11 @@
 """Small-graph corpora for verification runs.
 
-Exhaustive isomorphism-class lists are built by vertex augmentation with
-fingerprint-bucketed dedup; the class counts are pinned in the tests against
+Exhaustive isomorphism-class lists are built by vertex augmentation with the
+deletion half of McKay's canonical augmentation ("Isomorph-free exhaustive
+generation", J. Algorithms 1998): a new vertex is only attached where it
+minimises (degree, sum of its neighbours' degrees).  Candidates are bucketed
+by `fingerprint`, a cross-graph colour-refinement key, and `are_isomorphic`
+decides within a bucket.  The class counts are pinned in the tests against
 the known sequence (all graphs: 1, 2, 4, 11, 34, 156, 1044, 12346).
 """
 
@@ -10,7 +14,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterable, List
 
-from .graphs import Graph, are_isomorphic, fingerprint
+from .graphs import Graph, are_isomorphic, bits, fingerprint, mask_of
 
 _cache: Dict[int, List[Graph]] = {}
 
@@ -18,10 +22,15 @@ _cache: Dict[int, List[Graph]] = {}
 def nonisomorphic_graphs(n: int, connected: bool = False) -> List[Graph]:
     """Every graph on n vertices up to isomorphism, by augmentation.
 
-    Each class on n vertices arises from some class on n-1 vertices by
-    attaching vertex n-1 with an arbitrary neighborhood, so extending every
-    class by every neighborhood and deduplicating is exhaustive.  Results
-    are cached per n; connected=True filters the cached list.
+    Each class on n-1 vertices is extended by vertex n-1 with every
+    neighbourhood nb under which the new vertex minimises (degree, sum of
+    its neighbours' degrees) over the candidate's vertices; the other
+    neighbourhoods are skipped before a Graph is built.  This stays
+    exhaustive: pick v minimising that invariant in a class G; G - v is
+    isomorphic to some class on n-1 vertices, that class extended by the
+    image of N(v) is isomorphic to G, and there the new vertex plays v's
+    part.  Candidates are then deduplicated.  Results are cached per n;
+    connected=True filters the cached list.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -32,11 +41,18 @@ def nonisomorphic_graphs(n: int, connected: bool = False) -> List[Graph]:
             prev = nonisomorphic_graphs(n - 1)
             buckets: Dict[tuple, List[Graph]] = {}
             for base in prev:
-                edges = list(base.edges())
+                edges = base.edges()
+                deg = [base.degree(v) for v in range(n - 1)]
+                low = min(deg)
+                lowest = mask_of(v for v in range(n - 1) if deg[v] == low)
                 for nb in range(1 << (n - 1)):
-                    cand = Graph(
-                        n, edges + [(v, n - 1) for v in range(n - 1) if nb >> v & 1]
-                    )
+                    k = nb.bit_count()
+                    # old vertex v has degree deg[v] + [v in nb]; none may be below k
+                    if k > low and (k > low + 1 or lowest & ~nb):
+                        continue
+                    if k >= low and not _least_among_ties(base, deg, nb, k):
+                        continue
+                    cand = Graph(n, edges + [(v, n - 1) for v in bits(nb)])
                     key = fingerprint(cand)
                     bucket = buckets.setdefault(key, [])
                     if not any(are_isomorphic(cand, h) for h in bucket):
@@ -50,6 +66,18 @@ def nonisomorphic_graphs(n: int, connected: bool = False) -> List[Graph]:
     if connected:
         return [g for g in got if g.is_connected()]
     return list(got)
+
+
+def _least_among_ties(base: Graph, deg: List[int], nb: int, k: int) -> bool:
+    """Whether a new vertex on nb, of degree k, has the least neighbour-degree
+    sum among the candidate's vertices of degree k (old degrees: deg)."""
+    d = [deg[v] + (nb >> v & 1) for v in range(base.n)]
+    own = sum(d[u] for u in bits(nb))
+    return all(
+        sum(d[u] for u in base.neighbors(v)) + (nb >> v & 1) * k >= own
+        for v in range(base.n)
+        if d[v] == k
+    )
 
 
 def erdos_renyi(n: int, p: float, rng: random.Random) -> Graph:

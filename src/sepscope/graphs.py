@@ -328,11 +328,11 @@ def format_edge_list(g: Graph, comment: Optional[str] = None) -> str:
 # ---------------------------------------------------------------------------
 
 
-def refine_colors(g: Graph, init: Optional[Sequence[int]] = None) -> Tuple[int, ...]:
+def refine_colors(g: Graph) -> Tuple[int, ...]:
     """Iterated neighborhood color refinement; stable partition as int colors."""
-    if init is None and g._colcache is not None:
+    if g._colcache is not None:
         return g._colcache
-    colors = list(init) if init is not None else [g.degree(v) for v in range(g.n)]
+    colors = [g.degree(v) for v in range(g.n)]
     for _ in range(g.n):
         sig = [
             (colors[v], tuple(sorted(colors[u] for u in g.neighbors(v))))
@@ -343,19 +343,33 @@ def refine_colors(g: Graph, init: Optional[Sequence[int]] = None) -> Tuple[int, 
         if new == colors:
             break
         colors = new
-    out = tuple(colors)
-    if init is None:
-        g._colcache = out
+    g._colcache = out = tuple(colors)
     return out
 
 
 def fingerprint(g: Graph) -> Tuple:
-    """Cheap isomorphism-invariant summary used for bucketing."""
-    colors = refine_colors(g)
-    tri = 0
-    for u, v in g.edges():
-        tri += (g.nbr_mask(u) & g.nbr_mask(v)).bit_count()
-    return (g.n, g.m, tri // 3, tuple(sorted(colors)))
+    """Isomorphism-invariant key for bucketing, comparable across graphs.
+
+    Each vertex starts as (degree, triangles at v); each round its colour
+    becomes the hash of (colour, sorted neighbour colours), until the number
+    of colour classes stops growing.  The colours are hashes of int tuples,
+    which do not depend on PYTHONHASHSEED; a collision only merges buckets.
+    """
+    n, nbr = g.n, g._nbr
+    adj = [g.neighbors(v) for v in range(n)]
+    # each triangle at v is seen from both of its other vertices
+    colors = [
+        hash((nbr[v].bit_count(), sum((nbr[u] & nbr[v]).bit_count() for u in adj[v]) // 2))
+        for v in range(n)
+    ]
+    classes = len(set(colors))
+    while True:
+        colors = [hash((colors[v], tuple(sorted([colors[u] for u in adj[v]])))) for v in range(n)]
+        grown = len(set(colors))
+        if grown <= classes:
+            break
+        classes = grown
+    return (g.n, g.m, tuple(sorted(colors)))
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
