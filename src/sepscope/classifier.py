@@ -19,6 +19,14 @@ finitizations make it checkable at desk scale:
 
 The feral direction never relies on sampling: it returns one concrete
 instance that avoids every member, checked exhaustively.
+
+classify evaluates a type only while it can change the verdict.  A row
+k < k_max counts only when all seven types are forbidden, so it stops at
+its first type that is not; the k_max row stops at its first avoider, which
+is then the whole feral evidence, and runs to the end otherwise.  Skipped
+types draw nothing from a shared random state (every sweep seeds its own),
+so the verdict, evidence and caps are those of evaluating every row in
+full.
 """
 
 from dataclasses import dataclass, field
@@ -301,11 +309,21 @@ def classify(
     complete member blocks large cliques (the remaining tame types are among
     the seven already certified).  Miss at k_max with a concrete avoiding
     representative: feral with that instance as evidence.  Otherwise
-    inconclusive (budget gaps).  The budget counts search nodes per
-    member-containment test.
+    inconclusive (budget gaps), with the whole k_max row as evidence.  The
+    budget counts search nodes per member-containment test.
+
+    Types are evaluated in QUASI_TAME_TYPES order.  A row below k_max stops
+    at its first type that is not forbidden, since it can then no longer be
+    the certificate; the k_max row stops at its first avoider, the first one
+    the full row would report.  Each sweep seeds its own random layouts, so
+    the skipped types change no draw of the ones that run, and the verdict
+    is that of evaluating every type at every k.  length_cap below 4, the
+    shortest theta path length, is rejected.
     """
     if k_max < 3:
         raise ValueError("k_max must be at least 3")
+    if length_cap is not None and length_cap < 4:
+        raise ValueError("length_cap must be at least 4, the shortest theta path length")
     h_eff = max(6, hh.h)
     cap = length_cap if length_cap is not None else 5 * h_eff
     caps = {
@@ -325,6 +343,9 @@ def classify(
             row[t] = ev
             if ok is not True:
                 all_forbidden = False
+                # a row below k_max is discarded; at k_max the first avoider is the evidence
+                if k < k_max or ok is False:
+                    break
         final_row = row
         if all_forbidden:
             complete_sizes = [m.n for m in hh.members if _is_complete(m)]

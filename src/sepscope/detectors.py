@@ -10,6 +10,7 @@ search found them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .graphs import BudgetExhausted, Graph, bits, mask_of, set_of
@@ -126,14 +127,48 @@ def validate_minor_witness(g: Graph, h: Graph, w: MinorWitness) -> List[str]:
 # ---------------------------------------------------------------------------
 
 
+# patterns whose placement plan is kept; a classify sweep tests a few
+# members against thousands of hosts
+PLAN_CACHE_SIZE = 256
+# one depth of a plan: (degree, earlier depths adjacent, earlier depths not adjacent)
+PlanStep = Tuple[int, VertexSet, VertexSet]
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _pattern_plan(hnbr: Tuple[int, ...]) -> Tuple[VertexSet, Tuple[PlanStep, ...]]:
+    """Placement order of the pattern with neighbour masks hnbr, and per depth
+    (degree, earlier depths adjacent, earlier depths not adjacent).
+
+    Most placed neighbours first, then higher degree, then lower id.
+    """
+    hdeg = [b.bit_count() for b in hnbr]
+    rest = sorted(range(len(hnbr)), key=lambda u: -hdeg[u])
+    order: List[int] = []
+    placed = 0
+    while rest:
+        u = max(rest, key=lambda u: (hnbr[u] & placed).bit_count())
+        rest.remove(u)
+        order.append(u)
+        placed |= 1 << u
+    steps = tuple(
+        (
+            hdeg[u],
+            tuple(j for j in range(d) if hnbr[u] >> order[j] & 1),
+            tuple(j for j in range(d) if not hnbr[u] >> order[j] & 1),
+        )
+        for d, u in enumerate(order)
+    )
+    return tuple(order), steps
+
+
 def find_induced_subgraph(g: Graph, h: Graph, *, budget: int = 10_000_000) -> SearchVerdict:
     """Injective embedding of h into g preserving adjacency and non-adjacency.
 
     Backtracking over h-vertices.  The next h-vertex placed is the one with
     the most placed neighbours, ties broken by higher degree and then by
     lower id.  That choice depends only on which h-vertices are placed, not
-    on where they went, so the placement order is fixed once per call,
-    before the search: it is the order the same choice, made at every search
+    on where they went, so the placement order is fixed once per pattern,
+    before any search: it is the order the same choice, made at every search
     node, would give.  Each depth keeps its degree-feasible candidate mask
     and its (earlier depth, adjacent?) constraints; its candidates are that
     mask ANDed with the neighbour or non-neighbour masks of the earlier
@@ -145,10 +180,10 @@ def find_induced_subgraph(g: Graph, h: Graph, *, budget: int = 10_000_000) -> Se
         return SearchVerdict(FOUND, (), 0)
     if h.n > g.n or h.m > g.m:
         return SearchVerdict(ABSENT, None, 0)
-    hn, hnbr, gnbr = h.n, h._nbr, g._nbr
-    hdeg = [b.bit_count() for b in hnbr]
+    hn, gnbr = h.n, g._nbr
+    order, steps = _pattern_plan(h._nbr)
     # at_least[d]: mask of the g-vertices with degree >= d, for d <= top
-    top = max(hdeg)
+    top = max(deg for deg, _, _ in steps)
     at_least = [0] * (top + 1)
     bit = 1
     for b in gnbr:
@@ -157,24 +192,8 @@ def find_induced_subgraph(g: Graph, h: Graph, *, budget: int = 10_000_000) -> Se
         bit <<= 1
     for d in range(top - 1, -1, -1):
         at_least[d] |= at_least[d + 1]
-    # most placed neighbours first, then higher degree, then lower id
-    rest = sorted(range(hn), key=lambda u: -hdeg[u])
-    order: List[int] = []
-    placed = 0
-    while rest:
-        u = max(rest, key=lambda u: (hnbr[u] & placed).bit_count())
-        rest.remove(u)
-        order.append(u)
-        placed |= 1 << u
     # per depth: degree-feasible mask, earlier depths adjacent / not adjacent
-    plan = [
-        (
-            at_least[hdeg[u]],
-            tuple(j for j in range(d) if hnbr[u] >> order[j] & 1),
-            tuple(j for j in range(d) if not hnbr[u] >> order[j] & 1),
-        )
-        for d, u in enumerate(order)
-    ]
+    plan = [(at_least[deg], adj, non) for deg, adj, non in steps]
     img = [0] * hn
     nodes = 0
 

@@ -1,7 +1,8 @@
 """Reference oracles shared by the tests; nothing in the package uses them."""
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from sepscope import classifier
 from sepscope.graphs import Graph, bits, mask_of
 
 
@@ -60,3 +61,43 @@ def canonical_form(g: Graph) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
         for i in bits(row):
             edges.append((i, j))
     return (n, tuple(sorted(edges)))
+
+
+def classify_every_row(
+    hh: classifier.ForbiddenFamily,
+    k_max: int = 6,
+    length_cap: Optional[int] = None,
+    seed: int = 1,
+    *,
+    budget: int = 10_000_000,
+) -> classifier.ClassificationVerdict:
+    """classify without its short-circuit: all seven types at every k.
+
+    The smallest k whose row is all forbidden certifies (tame with a
+    complete member, else strongly quasi-tame); otherwise the first avoider
+    of the k_max row is the feral evidence, and with none the verdict is
+    inconclusive with the whole k_max row.
+    """
+    h_eff = max(6, hh.h)
+    cap = length_cap if length_cap is not None else 5 * h_eff
+    caps = {"k_max": k_max, "length_cap": cap, "sample": classifier.SAMPLE,
+            "max_instances": classifier.MAX_INSTANCES, "h": h_eff}
+    row: Dict[str, dict] = {}
+    for k in range(3, k_max + 1):
+        row = {}
+        oks = []
+        for t in classifier.QUASI_TAME_TYPES:
+            ok, row[t] = classifier.forbids_family_type(hh, t, k, cap, seed=seed, budget=budget)
+            oks.append(ok)
+        if all(ok is True for ok in oks):
+            complete = [m.n for m in hh.members
+                        if m.m == m.n * (m.n - 1) // 2]
+            if complete:
+                row["clique"] = {"forbidden": True, "family_type": "clique",
+                                 "complete_member_size": min(complete)}
+                return classifier.ClassificationVerdict("tame", k, row, caps)
+            return classifier.ClassificationVerdict("strongly_quasi_tame", k, row, caps)
+    for t, ev in row.items():
+        if ev["forbidden"] is False:
+            return classifier.ClassificationVerdict("feral", k_max, {t: ev}, caps)
+    return classifier.ClassificationVerdict("inconclusive", 0, row, caps)

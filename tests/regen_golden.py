@@ -28,6 +28,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 K3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
 K4 = Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
+P3 = Graph(3, [(0, 1), (1, 2)])
+CLAW = Graph(4, [(0, 1), (0, 2), (0, 3)])
 
 
 def _family(name: str, k: int) -> Graph:
@@ -46,6 +48,8 @@ def write_inputs(root: Path) -> None:
         "k3.el": K3,
         "theta_dir/theta3.el": _family("theta", 3),
         "k3_dir/k3.el": K3,
+        "claw_dir/claw.el": CLAW,
+        "p3_dir/p3.el": P3,
     }
     for rel, g in graphs.items():
         path = root / rel
@@ -73,6 +77,10 @@ def _cases() -> Dict[str, List[str]]:
         cases[f"detect_subgraph_k3_{host}"] = ["detect", "subgraph", f"{host}.el", "k3.el"]
     cases["classify_theta"] = ["classify", "theta_dir"]
     cases["classify_k3"] = ["classify", "k3_dir"]
+    # feral through a later type (theta is forbidden, prism is avoided)
+    cases["classify_claw_cap10"] = ["classify", "claw_dir", "--length-cap", "10"]
+    # inconclusive: every type runs out of budget, so the report is the whole row
+    cases["classify_p3_budget2"] = ["classify", "p3_dir", "--budget", "2"]
     return cases
 
 

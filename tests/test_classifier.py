@@ -1,5 +1,7 @@
 import pytest
 
+from oracles import classify_every_row
+from sepscope import classifier
 from sepscope.classifier import (
     QUASI_TAME_TYPES,
     TAME_TYPES,
@@ -99,6 +101,39 @@ def test_classify_k3_claw_is_tame():
 def test_classify_rejects_small_kmax():
     with pytest.raises(ValueError):
         classify(ForbiddenFamily((P3,)), k_max=2)
+
+
+def test_classify_rejects_length_cap_below_four():
+    for cap in (0, 1, 2, 3):
+        with pytest.raises(ValueError, match="length_cap must be at least 4"):
+            classify(ForbiddenFamily((P3,)), length_cap=cap)
+
+
+@pytest.mark.parametrize("members, kwargs, status", [
+    ((K3,), {}, "feral"),  # avoided at the first type, theta
+    ((CLAW,), {"length_cap": 10}, "feral"),  # theta forbidden, prism avoided
+    ((P3,), {"length_cap": 10}, "strongly_quasi_tame"),
+    ((K3, CLAW), {"length_cap": 10}, "tame"),
+    ((P3,), {"budget": 2}, "inconclusive"),  # seven `error` entries at k_max
+])
+def test_classify_matches_every_row_evaluation(members, kwargs, status):
+    hh = ForbiddenFamily(members)
+    verdict = classify(hh, **kwargs)
+    assert verdict.status == status
+    assert verdict.as_dict() == classify_every_row(hh, **kwargs).as_dict()
+
+
+def test_classify_k3_stops_each_row_at_theta(monkeypatch):
+    calls = []
+    real = classifier.forbids_family_type
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(classifier, "forbids_family_type", counted)
+    assert classify(ForbiddenFamily((K3,))).status == "feral"
+    assert calls == [("theta", k) for k in (3, 4, 5, 6)]
 
 
 def test_verdict_as_dict_round_trips_through_json():
