@@ -175,31 +175,112 @@ def _closure_masks(nbr: Sequence[int], wmask: int, budget: int) -> Set[int]:
 
     Seeds: N(C) for every component C of G[W] - N[v], every v in W.
     Expansion: for a found separator S and x in S, every N(C) for C a
-    component of G[W] - (S + N[x]).  N(C) is read off the flood's reach, and
-    every new candidate is certified before it is kept.  The budget counts
+    component of G[W] - (S + N[x]).  Neighbourhoods are taken in G[W].
+
+    A new candidate S is certified by a flood of all of G[W] - S that finds
+    two S-full components.  The same flood's components are kept with S
+    until S is expanded; they are all of G[W] - (S + N[x]) once N(x) is
+    removed from each, so the expansion floods no more than those pieces:
+
+    * a component D that is not S-full only offers N(D).  That set is a
+      minimal separator with D as a full component (an S-full component
+      avoids N(D) and is adjacent to all of it), so D - N(x) for x in N(D)
+      is reached when N(D) itself is expanded.
+    * for an S-full D, let P = D - N(x) and H = D & N(x).  Every component
+      of P has a vertex adjacent to H, because D is connected.  So P is
+      flooded from those vertices until one is left, and the rest of P is
+      one component, whose N lies in S + H and is read off the vertices'
+      masks without a flood.  In particular P is not flooded at all when
+      only one of its vertices is adjacent to H.
+
+    Candidates already tried are skipped.  The budget counts
     separators certified; certifying one more raises BudgetExhausted.
     """
     found: Set[int] = set()
-    queue: List[int] = []
-
-    def consider(region: int) -> None:
-        while region:
-            comp, reach = flood(nbr, region & -region, region)
-            region &= ~comp
-            smask = reach & wmask & ~comp
-            if smask and smask not in found and _is_min_sep_in(nbr, wmask, smask):
+    seen = {0}
+    stack: List[Tuple[int, List[int], List[int]]] = []
+    pending: List[int] = []
+    vs = wmask
+    while vs:
+        vb = vs & -vs
+        vs ^= vb
+        r = wmask & ~(nbr[vb.bit_length() - 1] | vb)
+        while r:
+            comp, reach = flood(nbr, r & -r, r)
+            r &= ~comp
+            cand = reach & wmask & ~comp
+            if cand not in seen:
+                pending.append(cand)
+    while True:
+        for smask in pending:
+            if smask in seen:
+                continue
+            seen.add(smask)
+            n_full = 0
+            wide = []  # S-full components with two or more vertices
+            partial = []  # N(D) of the components D that are not S-full
+            r = wmask & ~smask
+            while r:
+                comp, reach = flood(nbr, r & -r, r)
+                r &= ~comp
+                nd = reach & wmask & ~comp
+                if nd != smask:
+                    partial.append(nd)
+                    continue
+                n_full += 1
+                if comp & (comp - 1):
+                    wide.append(comp)
+            if n_full >= 2:
                 if len(found) == budget:
                     raise BudgetExhausted(f"closure certified more than {budget} separators")
                 found.add(smask)
-                queue.append(smask)
-
-    for v in bits(wmask):
-        consider(wmask & ~(nbr[v] | 1 << v))
-    while queue:
-        smask = queue.pop()
-        for x in bits(smask):
-            consider(wmask & ~(smask | nbr[x]))
-    return found
+                stack.append((smask, wide, partial))
+        if not stack:
+            return found
+        smask, wide, pending = stack.pop()
+        if not wide:
+            continue  # a single-vertex D lies inside N(x) for every x in S
+        sverts = []
+        xs = smask
+        while xs:
+            xb = xs & -xs
+            sverts.append((xb, nbr[xb.bit_length() - 1]))
+            xs ^= xb
+        for _, nx in sverts:
+            for d in wide:
+                p = d & ~nx
+                if p & (p - 1):
+                    h = d & nx
+                    if h & (h - 1):
+                        near = 0
+                        hs = h
+                        while hs:
+                            hb = hs & -hs
+                            near |= nbr[hb.bit_length() - 1]
+                            hs ^= hb
+                        near &= p
+                    else:
+                        near = nbr[h.bit_length() - 1] & p
+                    while near & (near - 1):
+                        comp, reach = flood(nbr, near & -near, p)
+                        p &= ~comp
+                        near &= ~comp
+                        cand = reach & wmask & ~comp
+                        if cand not in seen:
+                            pending.append(cand)
+                if not p & (p - 1):
+                    if p:
+                        cand = nbr[p.bit_length() - 1] & wmask
+                        if cand not in seen:
+                            pending.append(cand)
+                else:
+                    # the last component; only its vertex in near touches H
+                    cand = nbr[near.bit_length() - 1] & h
+                    for vb, nv in sverts:
+                        if nv & p:
+                            cand |= vb
+                    if cand not in seen:
+                        pending.append(cand)
 
 
 def enumerate_closure(g: Graph, *, budget: int = 2_000_000) -> List[VertexSet]:

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+
+import sepscope
 
 from sepscope.cli import main
 from sepscope.families import twisted_ladder
@@ -229,3 +234,15 @@ def test_out_writes_report_file(tmp_path, capsys):
     doc = json.loads(target.read_text())
     assert doc["results"]["count"] == 5
     assert el in doc["inputs"]
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sepscope.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-m", "sepscope", "--help"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("usage: sepscope")

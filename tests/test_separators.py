@@ -1,10 +1,13 @@
+import hashlib
 import random
 
 import pytest
 
 from sepscope.corpus import erdos_renyi, nonisomorphic_graphs
 from sepscope.cli import result_doc
-from sepscope.graphs import BudgetExhausted, Graph
+from sepscope import separators
+from sepscope.families import claw_feral, feral_choice_separators, paw_feral
+from sepscope.graphs import BudgetExhausted, Graph, components
 from sepscope.separators import (
     _closure_masks,
     _min_sep_masks_in,
@@ -109,6 +112,97 @@ def test_closure_matches_oracle_inside_proper_vertex_subsets():
             w = sum(1 << v for v in range(n) if rng.random() < 0.75)
         got = _closure_masks(g._nbr, w, 1 << n)
         assert got == set(_min_sep_masks_in(g._nbr, w)), (g.edges(), w)
+
+
+def sparse_graph(rng, n):
+    """A random tree on n vertices plus 0-3 chords."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(rng.randint(0, 3)):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return Graph(n, sorted(edges))
+
+
+def test_closure_matches_oracle_on_sparse_graphs_and_subsets():
+    # near-trees keep most components of G[W] - S whole when N[x] is removed,
+    # which is where the closure offers a stored N(D) or reads N(P) off a
+    # single seed instead of flooding; count those cases to show they occur
+    rng = random.Random(1207)
+    unsplit = missed = disconnected = 0
+    for _ in range(60):
+        n = rng.randint(8, 14)
+        g = sparse_graph(rng, n)
+        subsets = [g.full_mask()]
+        while len(subsets) < 4:
+            w = sum(1 << v for v in range(n) if rng.random() < 0.7)
+            if w and w != g.full_mask():
+                subsets.append(w)
+        for w in subsets:
+            want = set(_min_sep_masks_in(g._nbr, w))
+            assert _closure_masks(g._nbr, w, 1 << n) == want, (g.edges(), w)
+            wverts = [v for v in range(n) if w >> v & 1]
+            disconnected += len(components(g, wverts)) > 1
+            for s in want:
+                for d in components(g, [v for v in wverts if not s >> v & 1]):
+                    for x in (v for v in range(n) if s >> v & 1):
+                        rest = [v for v in d if not g._nbr[x] >> v & 1]
+                        if len(rest) == len(d):
+                            missed += 1
+                        elif rest and len(components(g, rest)) == 1:
+                            unsplit += 1
+    assert disconnected > 100 and missed > 800 and unsplit > 1000, (disconnected, missed, unsplit)
+
+
+def test_feral_closures_are_pinned():
+    # values of the flood-per-(S, x) closure, before components were stored
+    g, w = claw_feral(2, 6)
+    seps = enumerate_closure(g)
+    assert len(seps) == 19047
+    assert set(feral_choice_separators(2, w)) <= set(seps)
+    assert len(set(feral_choice_separators(2, w))) == 16
+    assert hashlib.sha256(repr(seps).encode()).hexdigest() == (
+        "9231505e298449924ec6d14eb1fc13b225912692b8c2bb291b11e006b472f27b"
+    )
+    assert len(enumerate_closure(claw_feral(1, 6)[0])) == 219
+    assert len(enumerate_closure(paw_feral(1, 6)[0])) == 264
+
+
+def test_closure_work_is_pinned(monkeypatch):
+    # flood calls for the closure of claw_feral(2, 6); flooding all of
+    # G - (S + N[x]) for every separator S and x in S made 183,185
+    calls = 0
+    real = separators.flood
+
+    def counting_flood(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(separators, "flood", counting_flood)
+    assert len(enumerate_closure(claw_feral(2, 6)[0])) == 19047
+    assert calls == 51222
+
+
+def test_closure_budget_on_a_feral_graph():
+    g, _ = claw_feral(1, 6)
+    assert len(enumerate_closure(g, budget=219)) == 219
+    with pytest.raises(BudgetExhausted):
+        enumerate_closure(g, budget=218)
+
+
+def test_branching_work_over_the_classes_is_pinned():
+    # criterion 2's recipe on every connected class with n <= 7
+    classes = [g for n in range(1, 8) for g in nonisomorphic_graphs(n, connected=True)]
+    assert len(classes) == 996
+    nodes = states = 0
+    for g in classes:
+        want = enumerate_oracle(g)
+        k = max([1] + [domination_number(g, s, range(g.n))[0] for s in want])
+        res = enumerate_branching(g, k)
+        assert res.complete and list(res.filtered) == want, g.edges()
+        nodes += res.nodes
+        states += res.states
+    assert (nodes, states) == (40030, 40030)
 
 
 def test_branching_filters_to_oracle():
