@@ -1,9 +1,10 @@
 """Shrink long degree-2 paths without changing what the graph avoids.
 
-Contracting an edge in the middle of a long enough induced path (at least
-5h vertices for patterns on up to h vertices) cannot create any forbidden
-induced subgraph that was absent before.  The reducer below applies that
-rule to a heavily subdivided K4 until no run is long enough.
+Shortening a long enough induced path whose interior vertices all have
+degree 2 (at least 5h vertices for patterns on up to h vertices) cannot
+create any forbidden induced subgraph that was absent before.  The reducer
+below cuts each long path of a heavily subdivided K4 once, down to 5h - 1
+vertices.
 """
 
 from sepscope import Graph, find_induced_subgraph, reduce_degree_two_paths

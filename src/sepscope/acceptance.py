@@ -2,12 +2,13 @@
 
 Each criterion is a standalone function so the CLI can filter by name and
 the test suite can assert them one by one.  Expensive shared inputs (the
-exhaustive small-graph corpus and its oracle enumerations) are computed once
-per process and memoized in module state.
+exhaustive small-graph corpus, its oracle enumerations and creature orders)
+are computed once per process and memoized with functools.lru_cache.
 """
 
 import random
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import lru_cache
+from typing import Callable, List, Optional, Tuple
 
 from .classifier import ForbiddenFamily, classify, reduce_degree_two_paths
 from .corpus import erdos_renyi, nonisomorphic_graphs, random_connected_corpus
@@ -47,32 +48,23 @@ from .separators import (
 
 Row = Tuple[str, bool, str]
 
-_shared: Dict[str, object] = {}
-
-
+@lru_cache(maxsize=None)
 def _corpus(n_max: int) -> List[Graph]:
-    key = f"corpus{n_max}"
-    if key not in _shared:
-        out: List[Graph] = []
-        for n in range(1, n_max + 1):
-            out.extend(nonisomorphic_graphs(n, connected=True))
-        _shared[key] = out
-    return _shared[key]  # type: ignore[return-value]
+    out: List[Graph] = []
+    for n in range(1, n_max + 1):
+        out.extend(nonisomorphic_graphs(n, connected=True))
+    return out
 
 
+@lru_cache(maxsize=None)
 def _oracle_lists(n_max: int) -> List[List[tuple]]:
-    key = f"oracle{n_max}"
-    if key not in _shared:
-        _shared[key] = [enumerate_oracle(g) for g in _corpus(n_max)]
-    return _shared[key]  # type: ignore[return-value]
+    return [enumerate_oracle(g) for g in _corpus(n_max)]
 
 
+@lru_cache(maxsize=None)
 def _creature_orders(n_max: int) -> List[int]:
     # a k-creature needs 2k+2 vertices, so k_max 3 is exhaustive for n <= 8
-    key = f"orders{n_max}"
-    if key not in _shared:
-        _shared[key] = [max_creature_order(g, k_max=3) for g in _corpus(n_max)]
-    return _shared[key]  # type: ignore[return-value]
+    return [max_creature_order(g, k_max=3) for g in _corpus(n_max)]
 
 
 def criterion_1() -> Row:
@@ -224,7 +216,7 @@ def criterion_8() -> Row:
     """Trace families fit the n^{k*+1} bound with k* = creature order + 1."""
     corpus = _corpus(7)
     oracle = _oracle_lists(7)
-    orders = [max_creature_order(g, k_max=3) for g in corpus]
+    orders = _creature_orders(7)
     checked = 0
     problems = 0
     for g, seps, order in zip(corpus, oracle, orders):

@@ -12,8 +12,8 @@ The "every k-theta" quantifier ranges over infinitely many graphs.  Two
 finitizations make it checkable at desk scale:
 
 * plain path lengths are capped at 5h: any longer instance shrinks, by
-  repeated middle-edge contraction of long degree-2 paths, to one below the
-  cap without ever creating a forbidden subgraph (reduce_degree_two_paths);
+  cutting each long degree-2 path once, to one below the cap without ever
+  creating a forbidden subgraph (reduce_degree_two_paths);
 * ladder attachment layouts are checked on the canonical layout plus a
   seeded random sample, and the verdict is labelled "canonical+sampled".
 
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from math import comb
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .detectors import FOUND, UNKNOWN, find_induced_subgraph
 from .families import (
@@ -46,7 +46,7 @@ from .families import (
     sampled_ladder_instance,
     theta,
 )
-from .graphs import BudgetExhausted, Graph, contract_edge
+from .graphs import BudgetExhausted, Graph, bits, flood, mask_of
 
 QUASI_TAME_TYPES = (
     "theta",
@@ -98,74 +98,51 @@ class ClassificationVerdict:
         }
 
 
-def _degree_two_runs(g: Graph) -> List[List[int]]:
-    """Maximal chains of degree-2 vertices, each chain listed in path order."""
-    deg2 = {v for v in range(g.n) if g.degree(v) == 2}
-    seen = set()
-    runs = []
-    for v in sorted(deg2):
-        if v in seen:
-            continue
-        seen.add(v)
-        chain = [v]
-        for i, direction in enumerate(g.neighbors(v)):
-            prev, cur = v, direction
-            side = []
-            while cur in deg2 and cur not in seen:
-                side.append(cur)
-                seen.add(cur)
-                onward = [u for u in g.neighbors(cur) if u != prev]
-                if not onward:
-                    break
-                prev, cur = cur, onward[0]
-            chain = side[::-1] + chain if i == 0 else chain + side
-        runs.append(chain)
-    return runs
-
-
-def _run_path_vertices(g: Graph, run: Sequence[int]) -> int:
-    """Vertex count of the longest induced path whose interior lies in run."""
-    r = len(run)
-    ends = []
-    for tip, inward in ((run[0], run[1] if r > 1 else None), (run[-1], run[-2] if r > 1 else None)):
-        anchor = [u for u in g.neighbors(tip) if u != inward and u not in run]
-        ends.append(anchor[0] if anchor else None)
-    a, b = ends
-    if a is None and b is None:
-        # isolated path component, or a pure cycle of degree-2 vertices
-        on_cycle = r > 2 and g.has_edge(run[0], run[-1])
-        return r - 1 if on_cycle else r
-    if a is None or b is None:
-        return r + 1
-    if a == b:
-        # both chain ends hang off one hub; adding it would close a cycle
-        return r
-    if g.has_edge(a, b):
-        return r + 1
-    return r + 2
-
-
 def reduce_degree_two_paths(g: Graph, h: int) -> Graph:
-    """Contract middle edges of long all-degree-2 induced paths to a fixpoint.
+    """Cut every long all-degree-2 induced path to just under 5h vertices.
 
-    Any induced path on at least 5h vertices whose internal vertices all have
-    degree 2 loses one middle edge per round.  Shrinking such a path cannot
-    create a forbidden subgraph on at most h vertices, so "contains some
-    member" is preserved downward.
+    A run is a component of the degree-2 vertices; its anchors are its
+    neighbours.  The longest induced path whose interior lies in a run has
+    P = |run| + |anchors| vertices, less one when the run and its anchors
+    close a cycle: no anchor (the run is a cycle), one hub, or two adjacent
+    anchors.  When P >= 5h, P - (5h - 1) consecutive run vertices go and
+    the vertices on either side of them are joined; the kept vertices keep
+    their order.  Shrinking such a path cannot create a forbidden subgraph
+    on at most h vertices, so "contains some member" is preserved downward.
+    The cut is the fixpoint of contracting one run edge per round, up to
+    isomorphism: such a contraction changes no degree, so each run shrinks
+    on its own until P = 5h - 1.  Returns g itself when no run is long.
     """
     if h <= 5:
         raise ValueError("reduction needs h > 5")
     floor = 5 * h
-    while True:
-        target = None
-        for run in _degree_two_runs(g):
-            if len(run) >= 2 and _run_path_vertices(g, run) >= floor:
-                target = run
-                break
-        if target is None:
-            return g
-        mid = len(target) // 2 - 1
-        g, _ = contract_edge(g, target[mid], target[mid + 1])
+    nbr = [g.nbr_mask(v) for v in range(g.n)]
+    deg2 = mask_of(v for v in range(g.n) if nbr[v].bit_count() == 2)
+    rest, dropped, joins = deg2, 0, []
+    while rest:
+        run, reach = flood(nbr, rest & -rest, deg2)
+        rest &= ~run
+        anchors = reach & ~run
+        a = anchors.bit_count()
+        closes = a < 2 or bool(nbr[(anchors & -anchors).bit_length() - 1] & anchors)
+        cut = run.bit_count() + a - closes - (floor - 1)
+        if cut <= 0:
+            continue
+        # drop `cut` run vertices in a row, walking away from `before`: an
+        # anchor, or any vertex of a run that is a cycle
+        side = anchors or run
+        before = side & -side
+        step = nbr[before.bit_length() - 1] & run
+        step &= -step
+        for _ in range(cut):
+            dropped |= step
+            step = nbr[step.bit_length() - 1] & ~dropped & ~before
+        joins.append((before.bit_length() - 1, step.bit_length() - 1))
+    if not joins:
+        return g
+    idx = {v: i for i, v in enumerate(bits(g.full_mask() & ~dropped))}
+    edges = [(idx[u], idx[v]) for u, v in g.edges() + joins if u in idx and v in idx]
+    return Graph(len(idx), edges)
 
 
 def _is_complete(g: Graph) -> bool:

@@ -11,15 +11,14 @@ Outcomes are data, not errors: found, absent and a run-out budget
 verify exits 1 when a criterion fails.  --stable-output zeroes elapsed_ms
 for diff-friendly golden files.
 
-A budget is --budget, else SEPSCOPE_BUDGET, else the keyword-only `budget`
-default of the route run; the route's docstring gives its unit.
+A budget is --budget, else the keyword-only `budget` default of the route
+run; the route's docstring gives its unit.
 """
 
 import argparse
 import hashlib
 import inspect
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -49,16 +48,10 @@ def _sha256(path: str) -> str:
 
 
 def _budget(args, route) -> int:
-    """The --budget flag, else SEPSCOPE_BUDGET, else route's own default."""
+    """The --budget flag, else route's own default."""
     if args.budget is not None:
         return args.budget
-    env = os.environ.get("SEPSCOPE_BUDGET")
-    if env is None:
-        return inspect.unwrap(route).__kwdefaults__["budget"]
-    try:
-        return int(env)
-    except ValueError:
-        raise CliError(f"SEPSCOPE_BUDGET must be an integer, got {env!r}")
+    return inspect.unwrap(route).__kwdefaults__["budget"]
 
 
 def _load_graph(path: str) -> Graph:
@@ -394,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--algo", choices=("oracle", "closure", "branching"), default="closure")
     p.add_argument("--k", type=int, help="domination bound for --algo branching")
-    p.add_argument("--budget", type=int, help="work budget, unit per --algo (env SEPSCOPE_BUDGET)")
+    p.add_argument("--budget", type=int, help="work budget, unit per --algo")
     common(p)
     p.set_defaults(fn=cmd_enum)
 
@@ -404,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pattern", nargs="?", help="pattern graph file (subgraph/minor)")
     p.add_argument("--k", type=int, help="creature order")
     p.add_argument("--r", type=int, help="minimum induced cycle length")
-    p.add_argument("--budget", type=int, help="search node budget (env SEPSCOPE_BUDGET)")
+    p.add_argument("--budget", type=int, help="search node budget")
     common(p)
     p.set_defaults(fn=cmd_detect)
 

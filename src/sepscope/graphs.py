@@ -328,25 +328,6 @@ def format_edge_list(g: Graph, comment: Optional[str] = None) -> str:
 # ---------------------------------------------------------------------------
 
 
-def refine_colors(g: Graph) -> Tuple[int, ...]:
-    """Iterated neighborhood color refinement; stable partition as int colors."""
-    if g._colcache is not None:
-        return g._colcache
-    colors = [g.degree(v) for v in range(g.n)]
-    for _ in range(g.n):
-        sig = [
-            (colors[v], tuple(sorted(colors[u] for u in g.neighbors(v))))
-            for v in range(g.n)
-        ]
-        order = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [order[s] for s in sig]
-        if new == colors:
-            break
-        colors = new
-    g._colcache = out = tuple(colors)
-    return out
-
-
 def fingerprint(g: Graph) -> Tuple:
     """Isomorphism-invariant key for bucketing, comparable across graphs.
 
@@ -354,39 +335,42 @@ def fingerprint(g: Graph) -> Tuple:
     becomes the hash of (colour, sorted neighbour colours), until the number
     of colour classes stops growing.  The colours are hashes of int tuples,
     which do not depend on PYTHONHASHSEED; a collision only merges buckets.
+    The per-vertex colours are cached on the graph for are_isomorphic.
     """
-    n, nbr = g.n, g._nbr
-    adj = [g.neighbors(v) for v in range(n)]
-    # each triangle at v is seen from both of its other vertices
-    colors = [
-        hash((nbr[v].bit_count(), sum((nbr[u] & nbr[v]).bit_count() for u in adj[v]) // 2))
-        for v in range(n)
-    ]
-    classes = len(set(colors))
-    while True:
-        colors = [hash((colors[v], tuple(sorted([colors[u] for u in adj[v]])))) for v in range(n)]
-        grown = len(set(colors))
-        if grown <= classes:
-            break
-        classes = grown
-    return (g.n, g.m, tuple(sorted(colors)))
+    if g._colcache is None:
+        n, nbr = g.n, g._nbr
+        adj = [g.neighbors(v) for v in range(n)]
+        # each triangle at v is seen from both of its other vertices
+        colors = [
+            hash((nbr[v].bit_count(), sum((nbr[u] & nbr[v]).bit_count() for u in adj[v]) // 2))
+            for v in range(n)
+        ]
+        classes = len(set(colors))
+        while True:
+            colors = [hash((colors[v], tuple(sorted([colors[u] for u in adj[v]])))) for v in range(n)]
+            grown = len(set(colors))
+            if grown <= classes:
+                break
+            classes = grown
+        g._colcache = tuple(colors)
+    return (g.n, g.m, tuple(sorted(g._colcache)))
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
-    """Exact isomorphism test: refinement colors + backtracking."""
-    if g.n != h.n or g.m != h.m:
+    """Exact isomorphism test: equal fingerprints, then backtracking.
+
+    Each g-vertex is only tried on h-vertices of its fingerprint colour; the
+    colours are invariant under isomorphism, and a hash collision only
+    widens a candidate list.
+    """
+    if fingerprint(g) != fingerprint(h):
         return False
-    cg, ch = refine_colors(g), refine_colors(h)
-    if sorted(cg) != sorted(ch):
-        return False
-    n = g.n
-    # candidates per g-vertex: h-vertices of the same color
+    n, cg, ch = g.n, g._colcache, h._colcache
     by_color: Dict[int, List[int]] = {}
     for v in range(n):
         by_color.setdefault(ch[v], []).append(v)
-    cand = [by_color.get(cg[v], []) for v in range(n)]
-    if any(not c for c in cand):
-        return False
+    # equal fingerprints give every g-colour a nonempty list
+    cand = [by_color[cg[v]] for v in range(n)]
     order = sorted(range(n), key=lambda v: len(cand[v]))
     assigned: Dict[int, int] = {}
     used = [False] * n

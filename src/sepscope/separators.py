@@ -460,7 +460,7 @@ def domination_number(
     maxcov = max(m.bit_count() for _, m in cov)
     nodes = 0
 
-    def bnb(uncovered: int, chosen: List[int], start_excluded: frozenset) -> None:
+    def bnb(uncovered: int, chosen: List[int]) -> None:
         nonlocal nodes, best_size, best_set
         nodes += 1
         if nodes > budget:
@@ -473,24 +473,19 @@ def domination_number(
         lower = len(chosen) + (uncovered.bit_count() + maxcov - 1) // maxcov
         if lower >= best_size:
             return
-        # branch on the uncovered vertex with fewest dominators
-        pick, pickdoms = None, None
+        # branch on the uncovered vertex with fewest dominators; none of them
+        # is chosen yet, and every target has one (checked above)
+        pickdoms = None
         for t in bits(uncovered):
-            doms = [c for c in dominators[t] if c not in start_excluded]
+            doms = dominators[t]
             if pickdoms is None or len(doms) < len(pickdoms):
-                pick, pickdoms = t, doms
-                if len(doms) <= 1:
+                pickdoms = doms
+                if len(doms) == 1:
                     break
-        if not pickdoms:
-            return
         for c in pickdoms:
-            bnb(
-                uncovered & ~g.closed_nbr_mask(c),
-                chosen + [c],
-                start_excluded | {c},
-            )
+            bnb(uncovered & ~g.closed_nbr_mask(c), chosen + [c])
 
-    bnb(tmask, [], frozenset())
+    bnb(tmask, [])
     return best_size, best_set
 
 

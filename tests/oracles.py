@@ -1,9 +1,9 @@
 """Reference oracles shared by the tests; nothing in the package uses them."""
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from sepscope import classifier
-from sepscope.graphs import Graph, bits, mask_of
+from sepscope.graphs import Graph, bits, contract_edge, mask_of
 
 
 def canonical_form(g: Graph) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
@@ -101,3 +101,73 @@ def classify_every_row(
         if ev["forbidden"] is False:
             return classifier.ClassificationVerdict("feral", k_max, {t: ev}, caps)
     return classifier.ClassificationVerdict("inconclusive", 0, row, caps)
+
+
+def _degree_two_runs(g: Graph) -> List[List[int]]:
+    """Maximal chains of degree-2 vertices, each chain listed in path order."""
+    deg2 = {v for v in range(g.n) if g.degree(v) == 2}
+    seen = set()
+    runs = []
+    for v in sorted(deg2):
+        if v in seen:
+            continue
+        seen.add(v)
+        chain = [v]
+        for i, direction in enumerate(g.neighbors(v)):
+            prev, cur = v, direction
+            side = []
+            while cur in deg2 and cur not in seen:
+                side.append(cur)
+                seen.add(cur)
+                onward = [u for u in g.neighbors(cur) if u != prev]
+                if not onward:
+                    break
+                prev, cur = cur, onward[0]
+            chain = side[::-1] + chain if i == 0 else chain + side
+        runs.append(chain)
+    return runs
+
+
+def _run_path_vertices(g: Graph, run: Sequence[int]) -> int:
+    """Vertex count of the longest induced path whose interior lies in run."""
+    r = len(run)
+    ends = []
+    for tip, inward in ((run[0], run[1] if r > 1 else None), (run[-1], run[-2] if r > 1 else None)):
+        anchor = [u for u in g.neighbors(tip) if u != inward and u not in run]
+        ends.append(anchor[0] if anchor else None)
+    a, b = ends
+    if a is None and b is None:
+        # isolated path component, or a pure cycle of degree-2 vertices
+        on_cycle = r > 2 and g.has_edge(run[0], run[-1])
+        return r - 1 if on_cycle else r
+    if a is None or b is None:
+        return r + 1
+    if a == b:
+        # both chain ends hang off one hub; adding it would close a cycle
+        return r
+    if g.has_edge(a, b):
+        return r + 1
+    return r + 2
+
+
+def reduce_by_edge_rounds(g: Graph, h: int) -> Graph:
+    """reduce_degree_two_paths by rounds: one middle-edge contraction each.
+
+    Any induced path on at least 5h vertices whose internal vertices all have
+    degree 2 loses one middle edge per round.  Shrinking such a path cannot
+    create a forbidden subgraph on at most h vertices, so "contains some
+    member" is preserved downward.
+    """
+    if h <= 5:
+        raise ValueError("reduction needs h > 5")
+    floor = 5 * h
+    while True:
+        target = None
+        for run in _degree_two_runs(g):
+            if len(run) >= 2 and _run_path_vertices(g, run) >= floor:
+                target = run
+                break
+        if target is None:
+            return g
+        mid = len(target) // 2 - 1
+        g, _ = contract_edge(g, target[mid], target[mid + 1])

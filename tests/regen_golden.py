@@ -98,7 +98,6 @@ def render(argv: List[str]) -> str:
 
 
 def regenerate() -> None:
-    os.environ.pop("SEPSCOPE_BUDGET", None)
     GOLDEN.mkdir(exist_ok=True)
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:

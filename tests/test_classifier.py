@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from oracles import classify_every_row
+from oracles import classify_every_row, reduce_by_edge_rounds
 from sepscope import classifier
 from sepscope.classifier import (
     QUASI_TAME_TYPES,
@@ -10,9 +12,10 @@ from sepscope.classifier import (
     forbids_family_type,
     reduce_degree_two_paths,
 )
+from sepscope.corpus import erdos_renyi
 from sepscope.detectors import ABSENT, find_induced_subgraph
 from sepscope.families import subdivide
-from sepscope.graphs import Graph
+from sepscope.graphs import Graph, are_isomorphic
 
 
 def path(n):
@@ -185,19 +188,34 @@ def test_reduce_handles_pure_cycle():
     assert reduced.is_connected()
 
 
-def test_reduce_handles_hub_loops():
-    # two long pendant cycles hanging off one hub: runs with both ends at
-    # the same anchor
+def hub_loops(length):
+    # two pendant cycles hanging off one hub: runs with both ends at the
+    # same anchor
     edges = []
     base = 1
     for _ in range(2):
         prev = 0
-        for i in range(40):
+        for i in range(length):
             edges.append((prev, base + i))
             prev = base + i
         edges.append((prev, 0))
-        base += 40
-    g = Graph(81, edges)
+        base += length
+    return Graph(1 + 2 * length, edges)
+
+
+def with_path(g, a, b, r):
+    """g plus an r-vertex path whose ends attach to a and b."""
+    edges = g.edges()
+    prev = a
+    for v in range(g.n, g.n + r):
+        edges.append((prev, v))
+        prev = v
+    edges.append((prev, b))
+    return Graph(g.n + r, edges)
+
+
+def test_reduce_handles_hub_loops():
+    g = hub_loops(40)
     reduced = reduce_degree_two_paths(g, 6)
     assert reduced.n < g.n
     assert max(reduced.degree(v) for v in range(reduced.n)) == 4
@@ -208,3 +226,31 @@ def test_reduce_leaves_isolated_paths_alone_below_floor():
     assert reduce_degree_two_paths(g, 6).n == 29
     g = path(31)
     assert reduce_degree_two_paths(g, 6).n < 31
+
+
+def test_reduce_run_between_adjacent_anchors():
+    # the run closes a cycle through the edge 0-1, so its longest induced
+    # path has r + 1 vertices
+    k4 = complete(4)
+    short = with_path(k4, 0, 1, 28)
+    assert reduce_degree_two_paths(short, 6) is short
+    for r in (29, 40):
+        reduced = reduce_degree_two_paths(with_path(k4, 0, 1, r), 6)
+        assert are_isomorphic(reduced, short)
+
+
+def test_reduce_matches_edge_rounds():
+    inputs = [cycle(n) for n in (29, 30, 31, 50)]
+    inputs += [path(n) for n in (29, 30, 31, 60)]
+    inputs += [hub_loops(29), hub_loops(40), subdivide(complete(4), 28),
+               subdivide(complete(4), 29), subdivide(complete(4), 40)]
+    rng = random.Random(20261019)
+    while len(inputs) < 19:
+        base = erdos_renyi(rng.randint(4, 6), 0.5, rng)
+        if base.m:
+            inputs.append(subdivide(base, rng.choice((27, 28, 29, 35))))
+    for h in (6, 7):
+        for g in inputs:
+            got, want = reduce_degree_two_paths(g, h), reduce_by_edge_rounds(g, h)
+            assert (got.n, got.m) == (want.n, want.m)
+            assert are_isomorphic(got, want)

@@ -162,13 +162,11 @@ def test_detect_creature_on_p4(tmp_path, capsys):
     assert doc["results"]["witness"]["order"] == 1
 
 
-def test_detect_budget_env_override(tmp_path, capsys, monkeypatch):
+def test_detect_budget_flag_bounds_the_search(tmp_path, capsys):
     p4 = write(tmp_path, "p4.el", "4 3\n0 1\n1 2\n2 3\n")
-    monkeypatch.setenv("SEPSCOPE_BUDGET", "1")
-    doc = run_json(capsys, "detect", "creature", p4, "--k", "1")
+    doc = run_json(capsys, "detect", "creature", p4, "--k", "1", "--budget", "1")
     assert doc["results"]["status"] == "unknown_budget"
     assert doc["complete"] is False
-    # explicit flag beats the environment
     doc = run_json(capsys, "detect", "creature", p4, "--k", "1",
                    "--budget", "100000")
     assert doc["results"]["status"] == "found"

@@ -4,7 +4,6 @@ from regen_golden import CASES, GOLDEN, render, write_inputs
 
 
 def test_golden_reports_are_byte_identical(tmp_path, monkeypatch):
-    monkeypatch.delenv("SEPSCOPE_BUDGET", raising=False)
     write_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)
