@@ -16,6 +16,7 @@ run; the route's docstring gives its unit.
 """
 
 import argparse
+import functools
 import hashlib
 import inspect
 import json
@@ -359,7 +360,10 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged,
+    and building it costs more than a small detection."""
     top = argparse.ArgumentParser(
         prog="sepscope",
         description="minimal separators: generate, enumerate, detect, classify",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .graphs import BudgetExhausted, Graph, bits, mask_of, set_of
 from .families import FamilySpec, StructureWitness, skinny_ladder, verify_witness
@@ -235,20 +235,41 @@ def find_induced_subgraph(g: Graph, h: Graph, *, budget: int = 10_000_000) -> Se
 # ---------------------------------------------------------------------------
 
 
-def _connected_subsets(g: Graph, allowed: int, seen_budget: Set[int]) -> Iterable[int]:
-    """All nonempty connected subset masks within allowed, deduped."""
-    for root in bits(allowed):
-        stack = [1 << root]
+def _connected_sets(
+    nbr: Sequence[int], allowed: int, anchors: int, stop: Optional[Callable[[int], bool]] = None
+) -> Iterator[int]:
+    """Each connected subset of allowed that meets anchors, exactly once.
+
+    nbr[v] is the neighbour mask of v.  A set is rooted at its lowest anchor:
+    the sets rooted at anchor a grow from {a} with the lower anchors banned.
+    Each set S carries its extension set, the vertices next to S that it may
+    still take.  S's children take those vertices one at a time in ascending
+    order, and each child bans the vertices its elder siblings took.  So a
+    connected set above S that avoids S's banned vertices descends through
+    exactly one child, the one taking its lowest extension vertex: every set
+    has one growth path, and no `seen` set is needed.  A set for which stop
+    holds is yielded but not grown.  Depth first, younger children last.
+    """
+    anchors &= allowed
+    while anchors:
+        a = anchors & -anchors
+        anchors ^= a
+        room = allowed & ~a
+        # (set, extension set, vertices it may still take)
+        stack = [(a, nbr[a.bit_length() - 1] & room, room)]
         while stack:
-            s = stack.pop()
-            if s in seen_budget:
-                continue
-            seen_budget.add(s)
+            s, ext, room = stack.pop()
             yield s
-            grow = g.nbhd_mask(s) & allowed
-            for v in bits(grow):
-                if v > root:
-                    stack.append(s | (1 << v))
+            if stop is not None and stop(s):
+                continue
+            children = []
+            while ext:
+                b = ext & -ext
+                ext ^= b
+                room ^= b
+                children.append((s | b, ext | nbr[b.bit_length() - 1] & room, room))
+            stack.extend(reversed(children))
+        allowed ^= a
 
 
 def find_induced_minor(g: Graph, h: Graph, *, budget: int = 2_000_000) -> SearchVerdict:
@@ -256,55 +277,84 @@ def find_induced_minor(g: Graph, h: Graph, *, budget: int = 2_000_000) -> Search
 
     Assigns each h-vertex a connected branch set, pairwise disjoint, with
     edges between sets exactly where h has edges; unassigned g-vertices are
-    deleted.  h-vertices are processed in descending degree order; sets are
-    enumerated lowest-index-anchored within the region still allowed by the
-    non-adjacency constraints.  Every branch set tried costs one node of
-    the budget.
+    deleted.  A branch set is drawn from the allowed region: the g-vertices
+    in no earlier set and next to no earlier set of an h-non-neighbour.
+    Three prunes cut the search, none of which loses a model:
+
+    - Connectivity order: h-vertices are placed most placed h-neighbours
+      first, then higher degree, then lower id (find_induced_subgraph's
+      order).  Every vertex after the first of its h-component then has a
+      placed h-neighbour.
+    - Anchored branch sets: a set must touch the set B_t of each placed
+      h-neighbour t, so it meets N(B_t) for the t whose allowed part of
+      N(B_t) is smallest; only the connected sets meeting that part are
+      enumerated, each once, rather than every connected set of the region.
+    - Twin symmetry: when h-vertices u and t are twins (N(u) - t = N(t) - u,
+      true or false), swapping their branch sets maps a model to a model.
+      Twinship is an equivalence (no vertex has both a true and a false
+      twin), and any permutation of a twin class is an automorphism, so
+      every model can have its sets reordered within each class by their
+      lowest g-vertex.  Hence u's set must start above the lowest vertex of
+      the set of the twin placed just before it.
+
+    Every branch set tried costs one node of the budget.
     """
     if h.n == 0:
         return SearchVerdict(FOUND, MinorWitness(()), 0)
     if h.n > g.n:
         return SearchVerdict(ABSENT, None, 0)
-    horder = sorted(range(h.n), key=lambda u: -h.degree(u))
+    hn, hnbr, gnbr = h.n, h._nbr, g._nbr
+    order, steps = _pattern_plan(hnbr)
+    # per depth: earlier depths adjacent, earlier depths not adjacent, and
+    # the latest earlier depth holding a twin (-1 for none)
+    plan = []
+    for d, (_, adj, non) in enumerate(steps):
+        u = order[d]
+        twin = next(
+            (j for j in range(d - 1, -1, -1)
+             if hnbr[u] & ~(1 << order[j]) == hnbr[order[j]] & ~(1 << u)),
+            -1,
+        )
+        plan.append((adj, non, twin))
+    sets = [0] * hn  # branch set per depth
+    nbhd = [0] * hn  # its neighbourhood
     nodes = 0
-    chosen: Dict[int, int] = {}
 
-    def rec(idx: int, free: int) -> Optional[Dict[int, int]]:
+    def rec(d: int, free: int) -> bool:
         nonlocal nodes
-        if idx == len(horder):
-            return dict(chosen)
-        u = horder[idx]
+        if d == hn:
+            return True
+        adj, non, twin = plan[d]
+        if free.bit_count() < hn - d:
+            return False
         allowed = free
-        needed = []
-        for t, m in chosen.items():
-            if h.has_edge(u, t):
-                needed.append(g.nbhd_mask(m))
-            else:
-                allowed &= ~g.nbhd_mask(m)
-        # only u is confined to allowed; later sets draw from free again
-        if not allowed or free.bit_count() < len(horder) - idx:
-            return None
-        seen: Set[int] = set()
-        for s in _connected_subsets(g, allowed, seen):
+        for j in non:
+            allowed &= ~nbhd[j]
+        if twin >= 0:
+            low = sets[twin] & -sets[twin]
+            allowed &= ~((low << 1) - 1)
+        needs = [nbhd[j] for j in adj]
+        anchors = min((r & allowed for r in needs), key=int.bit_count) if needs else allowed
+        for s in _connected_sets(gnbr, allowed, anchors):
             nodes += 1
             if nodes > budget:
                 raise BudgetExhausted
-            if any(not (req & s) for req in needed):
+            if any(not (r & s) for r in needs):
                 continue
-            chosen[u] = s
-            got = rec(idx + 1, free & ~s)
-            if got is not None:
-                return got
-            del chosen[u]
-        return None
+            sets[d] = s
+            nbhd[d] = g.nbhd_mask(s)
+            # only u is confined to allowed; later sets draw from free again
+            if rec(d + 1, free & ~s):
+                return True
+        return False
 
     try:
         got = rec(0, g.full_mask())
     except BudgetExhausted:
         return SearchVerdict(UNKNOWN, None, nodes)
-    if got is None:
+    if not got:
         return SearchVerdict(ABSENT, None, nodes)
-    w = MinorWitness(tuple(sorted((u, set_of(m)) for u, m in got.items())))
+    w = MinorWitness(tuple(sorted((u, set_of(sets[d])) for d, u in enumerate(order))))
     bad = validate_minor_witness(g, h, w)
     if bad:
         raise AssertionError(f"search produced invalid minor witness: {bad}")
@@ -334,11 +384,9 @@ def find_creature(g: Graph, k: int, *, budget: int = 100_000_000) -> SearchVerdi
     - no component of G[V - (X + Y + N[X])] dominates Y, likewise for B.
 
     At a full row A grows as a connected subset of the dominating components
-    from each anchor in N(x_1) (every A meets it), avoiding the anchors
-    already tried, and stops once it dominates X: if then no component of the
-    B-region covers Y, no larger A can work, since growing A only shrinks the
-    B-region.  B is a component of that B-region that dominates Y.  The
-    budget counts placed pairs and A sets tried.
+    that meets N(x_1) (every A does), each set once, and stops once it
+    dominates X (see _creature_ab).  B is a component of the B-region left by
+    A that dominates Y.  The budget counts placed pairs and A sets tried.
     """
     if k < 1:
         raise ValueError("creature order must be at least 1")
@@ -405,32 +453,31 @@ def _creature_ab(
     nodes: int,
     budget: int,
 ) -> Tuple[Optional[Tuple[int, int]], int]:
+    """A and B for the full row xs, ys, or None; and the node count.
+
+    A ranges over the connected subsets of region_a that meet N(x_1), and
+    only one that dominates X is handed to B.  A dominating A is not grown:
+    if some A works, so does every connected A' inside it that dominates X,
+    since shrinking A only enlarges the B-region.  Take A' minimal among
+    the connected sets inside A that dominate X.  Each set on its growth
+    path is a proper connected subset of A', so it does not dominate X and
+    was grown; hence A' is reached.
+    """
     xneed = [g.nbr_mask(x) for x in xs]
     yneed = [g.nbr_mask(y) for y in ys]
 
-    def b_for(amask: int) -> Optional[int]:
-        region = region_b & ~(g.nbhd_mask(amask) | amask)
-        return next((c for c in g.components_masks(region) if all(r & c for r in yneed)), None)
+    def dominates(amask: int) -> bool:
+        return all(req & amask for req in xneed)
 
-    seen: Set[int] = set()
-    allowed = region_a
-    for anchor in bits(xneed[0] & region_a):
-        stack = [1 << anchor]
-        while stack:
-            amask = stack.pop()
-            if amask in seen:
-                continue
-            seen.add(amask)
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExhausted
-            if all(req & amask for req in xneed):
-                comp = b_for(amask)
-                if comp is not None:
-                    return (amask, comp), nodes
-                continue  # growing a dominating A never helps
-            stack.extend(amask | 1 << v for v in bits(g.nbhd_mask(amask) & allowed))
-        allowed &= ~(1 << anchor)
+    for amask in _connected_sets(g._nbr, region_a, xneed[0], dominates):
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExhausted
+        if dominates(amask):
+            region = region_b & ~(g.nbhd_mask(amask) | amask)
+            comp = next((c for c in g.components_masks(region) if all(r & c for r in yneed)), None)
+            if comp is not None:
+                return (amask, comp), nodes
     return None, nodes
 
 

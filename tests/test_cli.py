@@ -3,9 +3,11 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import sepscope
 
-from sepscope.cli import main
+from sepscope.cli import build_parser, main
 from sepscope.families import twisted_ladder
 from sepscope.graphs import Graph, format_edge_list, parse_edge_list
 
@@ -160,6 +162,22 @@ def test_detect_creature_on_p4(tmp_path, capsys):
     doc = run_json(capsys, "detect", "creature", p4, "--k", "1")
     assert doc["results"]["status"] == "found"
     assert doc["results"]["witness"]["order"] == 1
+
+
+def test_main_parses_each_argv_afresh(tmp_path, capsys):
+    # the parser is built once per process; no call may see another's flags
+    p4 = write(tmp_path, "p4.el", "4 3\n0 1\n1 2\n2 3\n")
+    doc = run_json(capsys, "detect", "creature", p4, "--k", "1", "--budget", "1")
+    assert doc["results"]["status"] == "unknown_budget"
+    doc = run_json(capsys, "enum", p4, "--algo", "oracle")
+    assert doc["config"] == {"algo": "oracle", "k": None, "budget": 2_000_000}
+    doc = run_json(capsys, "detect", "creature", p4, "--k", "1")
+    assert doc["results"]["status"] == "found"
+    with pytest.raises(SystemExit) as exc:
+        main(["detect", "creature", p4, "--k", "one"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert build_parser() is build_parser()
 
 
 def test_detect_budget_flag_bounds_the_search(tmp_path, capsys):

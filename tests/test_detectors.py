@@ -6,6 +6,7 @@ from sepscope.detectors import (
     ABSENT,
     FOUND,
     UNKNOWN,
+    _connected_sets,
     extract_skinny_ladder,
     find_creature,
     find_induced_minor,
@@ -25,7 +26,7 @@ from sepscope.families import (
     theta,
     twisted_ladder,
 )
-from sepscope.graphs import Graph, are_isomorphic, contract_edge, induced_subgraph
+from sepscope.graphs import Graph, contract_edge, induced_subgraph
 
 from oracles import canonical_form
 
@@ -278,15 +279,15 @@ def test_minor_witness_validates():
     assert validate_minor_witness(cycle(6), complete(3), verdict.witness) == []
 
 
-def induced_minor_by_contraction(g, h):
-    """Cross-check route: breadth-first vertex deletion and edge contraction,
-    one layer per vertex count, deduplicated by canonical form."""
+def induced_minors_by_contraction(g, n_min):
+    """Cross-check route: the canonical forms of every induced minor of g on
+    at least n_min vertices, by breadth-first vertex deletion and edge
+    contraction, one layer per vertex count."""
     layer = {canonical_form(g): g}
-    for _ in range(g.n - h.n):
+    forms = set(layer)
+    for _ in range(g.n - n_min):
         nxt = {}
         for cur in layer.values():
-            if cur.m < h.m:
-                continue
             for v in range(cur.n):
                 child, _ = induced_subgraph(cur, [u for u in range(cur.n) if u != v])
                 nxt.setdefault(canonical_form(child), child)
@@ -294,18 +295,100 @@ def induced_minor_by_contraction(g, h):
                 child, _ = contract_edge(cur, u, v)
                 nxt.setdefault(canonical_form(child), child)
         layer = nxt
-    return any(are_isomorphic(cur, h) for cur in layer.values())
+        forms.update(layer)
+    return forms
 
 
 def test_minor_routes_agree_on_small_graphs():
+    # every pattern on 2-5 vertices: the 29 connected ones on 3-5 vertices,
+    # the twin-heavy K5, K5 - e and K2,3 among them, and the disconnected
+    # ones, whose isolated vertices are false twins; each host's induced
+    # minors are listed once
+    patterns = [h for n in (2, 3, 4, 5) for h in nonisomorphic_graphs(n)]
+    assert len(patterns) == 51
     rng = random.Random(606)
-    patterns = [complete(3), cycle(4), path(4), complete(4)]
-    for _ in range(25):
-        g = erdos_renyi(rng.randint(4, 7), 0.45, rng)
+    hosts = [twisted_ladder(1)[0], skinny_ladder(2)[0]]
+    hosts += [erdos_renyi(rng.randint(4, 8), rng.choice((0.3, 0.45, 0.6)), rng) for _ in range(20)]
+    found = 0
+    for g in hosts:
+        forms = induced_minors_by_contraction(g, 2)
         for h in patterns:
-            a = find_induced_minor(g, h)
-            b = FOUND if induced_minor_by_contraction(g, h) else ABSENT
-            assert a.status == b, (g.edges(), h.edges())
+            verdict = find_induced_minor(g, h)
+            expect = FOUND if canonical_form(h) in forms else ABSENT
+            assert verdict.status == expect, (g.edges(), h.edges())
+            if verdict.found:
+                found += 1
+                assert validate_minor_witness(g, h, verdict.witness) == []
+    assert found == 361
+
+
+# the eight patterns absent as induced minors of twisted_ladder(1), with the
+# nodes each proof takes: K4, and seven dense 5-vertex graphs up to K5
+ABSENT_MINOR_PROOFS = [
+    (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], 3638),
+    (5, [(0, 2), (0, 4), (1, 3), (1, 4), (2, 4), (3, 4)], 9704),
+    (5, [(0, 2), (0, 3), (0, 4), (1, 4), (2, 3), (2, 4), (3, 4)], 8316),
+    (5, [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)], 7439),
+    (5, [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)], 6964),
+    (5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 4), (3, 4)], 14703),
+    (5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)], 3686),
+    (5, [(u, v) for u in range(5) for v in range(u + 1, 5)], 3325),
+]
+
+
+def test_absent_minor_proofs_on_twisted_ladder_1_are_pinned():
+    g, _ = twisted_ladder(1)
+    for n, edges, nodes in ABSENT_MINOR_PROOFS:
+        verdict = find_induced_minor(g, Graph(n, edges))
+        assert (verdict.status, verdict.nodes_explored) == (ABSENT, nodes), edges
+
+
+def test_minor_budget_edge_on_a_twin_pattern():
+    # every vertex of K5 is a twin of every other
+    g, _ = twisted_ladder(1)
+    nodes = find_induced_minor(g, complete(5)).nodes_explored
+    assert find_induced_minor(g, complete(5), budget=nodes).status == ABSENT
+    edge = find_induced_minor(g, complete(5), budget=nodes - 1)
+    assert (edge.status, edge.witness, edge.nodes_explored) == (UNKNOWN, None, nodes)
+
+
+def connected_subsets_by_brute_force(g, allowed, anchors):
+    return sorted(
+        m for m in range(1, 1 << g.n)
+        if m & ~allowed == 0 and m & anchors and g.is_connected_mask(m)
+    )
+
+
+def test_connected_sets_yields_each_anchored_set_once():
+    rng = random.Random(33)
+    for _ in range(60):
+        g = erdos_renyi(rng.randint(1, 8), rng.choice((0.2, 0.4, 0.6)), rng)
+        allowed = rng.getrandbits(g.n) | rng.getrandbits(g.n)
+        anchors = rng.getrandbits(g.n)
+        # a search that repeats sets must not run away; 2^n sets are more than enough
+        got = list(itertools.islice(_connected_sets(g._nbr, allowed, anchors), 1 << g.n))
+        assert sorted(got) == connected_subsets_by_brute_force(g, allowed, anchors), g.edges()
+
+
+def test_connected_sets_stop_keeps_every_minimal_stopping_set():
+    # a stopping set is never grown, yet every inclusion-minimal one is
+    # reached: each set on its growth path is a proper subset, so not stopping
+    rng = random.Random(34)
+    for _ in range(60):
+        g = erdos_renyi(rng.randint(2, 8), rng.choice((0.3, 0.5)), rng)
+        targets = [rng.getrandbits(g.n) | 1 << rng.randrange(g.n) for _ in range(2)]
+
+        def stop(m):
+            return all(t & m for t in targets)
+
+        full = g.full_mask()
+        got = list(itertools.islice(_connected_sets(g._nbr, full, targets[0], stop), 1 << g.n))
+        assert len(got) == len(set(got))
+        every = connected_subsets_by_brute_force(g, full, targets[0])
+        assert set(got) <= set(every)
+        stopping = [m for m in every if stop(m)]
+        minimal = [m for m in stopping if not any(o != m and o & ~m == 0 for o in stopping)]
+        assert set(minimal) <= set(got)
 
 
 def test_minor_cap():
