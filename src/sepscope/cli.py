@@ -44,10 +44,6 @@ class CliError(Exception):
     """Unusable input or parameters; maps to exit code 2."""
 
 
-def _sha256(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _budget(args, route) -> int:
     """The --budget flag, else route's own default."""
     if args.budget is not None:
@@ -55,21 +51,27 @@ def _budget(args, route) -> int:
     return inspect.unwrap(route).__kwdefaults__["budget"]
 
 
-def _load_graph(path: str) -> Graph:
+def _load_graph(path: str, digests: Dict[str, str]) -> Graph:
+    """Parse the edge-list file at path, reading it once; digests[path] gets
+    the sha256 of the bytes parsed."""
     p = Path(path)
     if not p.is_file():
         raise CliError(f"no such file: {path}")
+    data = p.read_bytes()
     try:
-        return parse_edge_list(p.read_text())
+        g = parse_edge_list(data.decode())
     except (GraphError, ValueError) as exc:
         raise CliError(f"{path}: {exc}")
+    digests[path] = hashlib.sha256(data).hexdigest()
+    return g
 
 
-def _report(command: str, inputs: List[str], config: Dict, results, complete: bool,
+def _report(command: str, inputs: Dict[str, str], config: Dict, results, complete: bool,
             elapsed_ms: int, stable: bool) -> Dict:
+    """The report envelope; inputs maps each input path to its sha256."""
     return {
         "command": command,
-        "inputs": {p: _sha256(p) for p in inputs},
+        "inputs": inputs,
         "config": config,
         "results": results,
         "elapsed_ms": 0 if stable else elapsed_ms,
@@ -145,12 +147,11 @@ def cmd_gen(args) -> int:
         raise CliError(f"unknown family {args.family!r}; choose from "
                        + ", ".join(n.replace("_", "-") for n in FAMILY_NAMES))
     base = None
-    inputs = []
+    inputs: Dict[str, str] = {}
     if family == "subdivision":
         if not args.base:
             raise CliError("subdivision needs a base graph file argument")
-        base = _load_graph(args.base)
-        inputs.append(args.base)
+        base = _load_graph(args.base, inputs)
     elif args.base:
         raise CliError("only the subdivision family takes a base graph file")
     spec = FamilySpec(
@@ -192,9 +193,11 @@ def cmd_gen(args) -> int:
     }
     side_path.write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
     elapsed = int((time.monotonic() - started) * 1000)
+    for p in (el_path, side_path):
+        inputs[str(p)] = hashlib.sha256(p.read_bytes()).hexdigest()
 
     report = _report(
-        "gen", inputs + [str(el_path), str(side_path)],
+        "gen", inputs,
         {"family": family, "k": args.k, "len": args.len, "arm": args.arm,
          "c": args.c, "seed": args.seed},
         {"n": g.n, "m": g.m, "edge_list": str(el_path), "witness": str(side_path)},
@@ -213,7 +216,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_enum(args) -> int:
-    g = _load_graph(args.graph)
+    inputs: Dict[str, str] = {}
+    g = _load_graph(args.graph, inputs)
     started = time.monotonic()
     extra = {}
     if args.algo != "branching":
@@ -241,7 +245,7 @@ def cmd_enum(args) -> int:
     results = result_doc(g, args.algo, seps, 0 if args.stable_output else elapsed,
                          complete, **extra)
     report = _report(
-        "enum", [args.graph],
+        "enum", inputs,
         {"algo": args.algo, "k": args.k, "budget": budget},
         results, complete, elapsed, args.stable_output,
     )
@@ -255,10 +259,10 @@ def cmd_enum(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    g = _load_graph(args.graph)
+    inputs: Dict[str, str] = {}
+    g = _load_graph(args.graph, inputs)
     started = time.monotonic()
     config: Dict = {"kind": args.kind}
-    inputs = [args.graph]
     if args.kind == "creature":
         if args.k is None:
             raise CliError("detect creature needs --k")
@@ -268,8 +272,7 @@ def cmd_detect(args) -> int:
     elif args.kind in ("subgraph", "minor"):
         if not args.pattern:
             raise CliError(f"detect {args.kind} needs a pattern graph file")
-        h = _load_graph(args.pattern)
-        inputs.append(args.pattern)
+        h = _load_graph(args.pattern, inputs)
         route = find_induced_subgraph if args.kind == "subgraph" else find_induced_minor
         budget = _budget(args, route)
         verdict = route(g, h, budget=budget)
@@ -305,7 +308,8 @@ def cmd_classify(args) -> int:
                    if p.is_file() and p.suffix in (".el", ".txt", ".edges"))
     if not paths:
         raise CliError(f"no edge-list files (.el/.txt/.edges) in {args.dir}")
-    members = tuple(_load_graph(p) for p in paths)
+    inputs: Dict[str, str] = {}
+    members = tuple(_load_graph(p, inputs) for p in paths)
     budget = _budget(args, classify)
     started = time.monotonic()
     try:
@@ -320,7 +324,7 @@ def cmd_classify(args) -> int:
         raise CliError(str(exc))
     elapsed = int((time.monotonic() - started) * 1000)
     report = _report(
-        "classify", paths,
+        "classify", inputs,
         {"kmax": args.kmax, "length_cap": args.length_cap, "seed": args.seed,
          "budget": budget},
         verdict.as_dict(), verdict.status != "inconclusive", elapsed,
@@ -345,7 +349,7 @@ def cmd_verify(args) -> int:
         print(f"{'PASS' if ok else 'FAIL'}  criterion {name}: {detail}")
     failed = [name for name, ok, _ in rows if not ok]
     report = _report(
-        "verify", [],
+        "verify", {},
         {"filter": args.filter},
         {"criteria": [{"name": n, "ok": ok, "detail": d} for n, ok, d in rows],
          "failed": failed},

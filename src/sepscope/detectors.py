@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .graphs import BudgetExhausted, Graph, bits, mask_of, set_of
+from .graphs import BudgetExhausted, Graph, bits, flood, mask_of, set_of
 from .families import FamilySpec, StructureWitness, skinny_ladder, verify_witness
 
 VertexSet = Tuple[int, ...]
@@ -383,10 +383,22 @@ def find_creature(g: Graph, k: int, *, budget: int = 100_000_000) -> SearchVerdi
       A must lie in one;
     - no component of G[V - (X + Y + N[X])] dominates Y, likewise for B.
 
-    At a full row A grows as a connected subset of the dominating components
-    that meets N(x_1) (every A does), each set once, and stops once it
-    dominates X (see _creature_ab).  B is a component of the B-region left by
-    A that dominates Y.  The budget counts placed pairs and A sets tried.
+    The union of the components that dominate X (the A-region) is carried
+    down the row: a child restricts its parent's A-region to
+    V - (X + Y + N[Y]) of its own row, and floods only the components of
+    that set that meet N(x_1).  This gives the same union.  A component D
+    of the child's region that dominates X is connected inside the parent's
+    region, so it lies in one parent component, which dominates the shorter
+    row since D does.  And the parent's A-region is a union of whole
+    components of the parent's region, so no edge leaves it within the
+    child's region: every component of the restricted region is a component
+    of the child's region.  The same holds for the B-region with Y and
+    N(y_1); it is not flooded when the A-region is empty.
+
+    At a full row A grows as a connected subset of the A-region that meets
+    N(x_1) (every A does), each set once, and stops once it dominates X (see
+    _creature_ab).  B is a component of the B-region left by A that
+    dominates Y.  The budget counts placed pairs and A sets tried.
     """
     if k < 1:
         raise ValueError("creature order must be at least 1")
@@ -397,18 +409,19 @@ def find_creature(g: Graph, k: int, *, budget: int = 100_000_000) -> SearchVerdi
     ys: List[int] = []
     nodes = 0
 
-    def dominating(region: int, row: List[int]) -> int:
-        """Union of the components of G[region] that touch N(v) for each v in row."""
-        return sum(c for c in g.components_masks(region) if all(nbr[v] & c for v in row))
-
-    def place(start: int, xm: int, ym: int, nx: int, ny: int) -> Optional[Tuple[int, int]]:
+    def place(
+        start: int, xm: int, ym: int, nx: int, ny: int, region_a: int, region_b: int
+    ) -> Optional[Tuple[int, int]]:
         nonlocal nodes
         if (full & ~(xm | ym | (nx & ny))).bit_count() < 2 * (k - len(xs)) + 2:
             return None
-        region_a = dominating(full & ~(xm | ym | ny), xs)
-        region_b = dominating(full & ~(xm | ym | nx), ys)
-        if not (region_a and region_b):
-            return None
+        if xs:
+            region_a = sum(_dominating_components(nbr, region_a & ~(xm | ym | ny), xs))
+            if not region_a:
+                return None
+            region_b = sum(_dominating_components(nbr, region_b & ~(xm | ym | nx), ys))
+            if not region_b:
+                return None
         if len(xs) == k:
             got, nodes = _creature_ab(g, xs, ys, region_a, region_b, nodes, budget)
             return got
@@ -424,7 +437,8 @@ def find_creature(g: Graph, k: int, *, budget: int = 100_000_000) -> SearchVerdi
                     continue
                 xs.append(x)
                 ys.append(y)
-                got = place(idx + 1, xm | 1 << x, ym | 1 << y, nx | nbr[x], ny | nbr[y])
+                got = place(idx + 1, xm | 1 << x, ym | 1 << y, nx | nbr[x], ny | nbr[y],
+                            region_a, region_b)
                 if got is not None:
                     return got
                 xs.pop()
@@ -432,7 +446,7 @@ def find_creature(g: Graph, k: int, *, budget: int = 100_000_000) -> SearchVerdi
         return None
 
     try:
-        got = place(0, 0, 0, 0, 0)
+        got = place(0, 0, 0, 0, 0, full, full)
     except BudgetExhausted:
         return SearchVerdict(UNKNOWN, None, nodes)
     if got is None:
@@ -442,6 +456,22 @@ def find_creature(g: Graph, k: int, *, budget: int = 100_000_000) -> SearchVerdi
     if bad:
         raise AssertionError(f"search produced invalid creature: {bad}")
     return SearchVerdict(FOUND, w, nodes)
+
+
+def _dominating_components(nbr: Sequence[int], region: int, row: List[int]) -> List[int]:
+    """The components of G[region] that meet N(v) for every v in row.
+
+    Each of them meets N(row[0]), so only the components holding a vertex of
+    N(row[0]) are flooded, in the order of their lowest such vertex.
+    """
+    out = []
+    seeds = nbr[row[0]] & region
+    while seeds:
+        comp = flood(nbr, seeds & -seeds, region)[0]
+        seeds &= ~comp
+        if all(nbr[v] & comp for v in row):
+            out.append(comp)
+    return out
 
 
 def _creature_ab(
@@ -462,9 +492,11 @@ def _creature_ab(
     the connected sets inside A that dominate X.  Each set on its growth
     path is a proper connected subset of A', so it does not dominate X and
     was grown; hence A' is reached.
+
+    B is the component of G[region_b - N[A]] that dominates Y and has the
+    smallest lowest vertex; the first A that leaves one is returned with it.
     """
     xneed = [g.nbr_mask(x) for x in xs]
-    yneed = [g.nbr_mask(y) for y in ys]
 
     def dominates(amask: int) -> bool:
         return all(req & amask for req in xneed)
@@ -475,9 +507,9 @@ def _creature_ab(
             raise BudgetExhausted
         if dominates(amask):
             region = region_b & ~(g.nbhd_mask(amask) | amask)
-            comp = next((c for c in g.components_masks(region) if all(r & c for r in yneed)), None)
-            if comp is not None:
-                return (amask, comp), nodes
+            comps = _dominating_components(g._nbr, region, ys)
+            if comps:
+                return (amask, min(comps, key=lambda c: c & -c)), nodes
     return None, nodes
 
 

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -148,6 +150,30 @@ def test_detect_outcomes_are_exit_zero(tmp_path, capsys):
     assert doc["results"]["witness"]["branch_sets"]
     doc = run_json(capsys, "detect", "subgraph", c6, k3)
     assert doc["results"]["status"] == "absent_exhaustive"
+
+
+def test_detect_reads_each_input_file_once(tmp_path, capsys, monkeypatch):
+    c6 = write(tmp_path, "c6.el", "6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n")
+    k3 = write(tmp_path, "k3.el", "3 3\n0 1\n0 2\n1 2\n")
+    reads = []
+
+    def counted(real):
+        def read(self, *args, **kwargs):
+            reads.append(str(self))
+            return real(self, *args, **kwargs)
+        return read
+
+    for name in ("read_bytes", "read_text"):
+        monkeypatch.setattr(pathlib.Path, name, counted(getattr(pathlib.Path, name)))
+    doc = run_json(capsys, "detect", "subgraph", c6, k3)
+    assert sorted(reads) == sorted([c6, k3])
+    monkeypatch.undo()
+    assert doc["inputs"] == {p: hashlib.sha256(open(p, "rb").read()).hexdigest() for p in (c6, k3)}
+    # undecodable bytes are malformed input, as a bad header is
+    bad = tmp_path / "bad.el"
+    bad.write_bytes(b"3 1\n0 \xff\n")
+    code, _, err = run(capsys, "detect", "subgraph", c6, str(bad))
+    assert code == 2 and "bad.el" in err
 
 
 def test_detect_minor_has_no_vertex_cap(tmp_path, capsys):

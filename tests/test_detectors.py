@@ -1,7 +1,9 @@
+import hashlib
 import itertools
 import random
 
 from sepscope.corpus import erdos_renyi, nonisomorphic_graphs
+import sepscope.detectors
 from sepscope.detectors import (
     ABSENT,
     FOUND,
@@ -85,6 +87,85 @@ def test_twisted_ladder_5_creature_proof_node_accounting():
     nodes = verdict.nodes_explored
     assert find_creature(g, 5, budget=nodes).status == ABSENT
     assert find_creature(g, 5, budget=nodes - 1).status == UNKNOWN
+
+
+# (status, nodes_explored, (A, B, X, Y) or None) for k = 1..5
+CREATURE_PINS = {
+    (twisted_ladder, 2): [
+        (FOUND, 2, ((15,), (3, 4, 5, 6, 7, 8, 10, 11, 12, 13, 14, 16, 17), (0,), (1,))),
+        (FOUND, 202, ((15,), (14,), (0, 9), (1, 8))),
+        (FOUND, 788, ((7, 8, 9, 10, 11, 14), (3,), (1, 16, 12), (2, 4, 17))),
+        (FOUND, 1037, ((2, 3), (10, 11), (1, 4, 15, 17), (14, 16, 9, 12))),
+        (ABSENT, 2090, None),
+    ],
+    (twisted_ladder, 3): [
+        (FOUND, 2, ((21,), (3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14, 15, 16, 17, 18, 19, 20, 22, 23,
+                            24, 25), (0,), (1,))),
+        (FOUND, 6577, ((21,), (20,), (0, 12), (1, 11))),
+        (FOUND, 16724, ((10, 11, 12, 13, 14, 20), (3,), (1, 22, 15), (2, 4, 23))),
+        (FOUND, 10365, ((2, 3), (13, 14), (1, 4, 21, 23), (20, 22, 12, 15))),
+        (ABSENT, 22322, None),
+    ],
+    (skinny_ladder, 2): [
+        (FOUND, 2, ((4,), (3, 5), (0,), (1,))),
+        (FOUND, 3, ((4,), (5,), (0, 2), (1, 3))),
+        (ABSENT, 0, None),
+        (ABSENT, 0, None),
+        (ABSENT, 0, None),
+    ],
+    (skinny_ladder, 3): [
+        (FOUND, 2, ((6,), (2, 4, 5, 7, 8), (0,), (1,))),
+        (FOUND, 5, ((6,), (2, 5, 8), (0, 3), (1, 4))),
+        (ABSENT, 100, None),
+        (ABSENT, 0, None),
+        (ABSENT, 0, None),
+    ],
+    (skinny_ladder, 4): [
+        (FOUND, 2, ((8,), (2, 3, 5, 6, 7, 9, 10, 11), (0,), (1,))),
+        (FOUND, 18, ((4, 5, 6, 7, 8), (2,), (0, 11), (1, 3))),
+        (ABSENT, 342, None),
+        (ABSENT, 342, None),
+        (ABSENT, 332, None),
+    ],
+}
+
+
+def creature_row(g, k):
+    v = find_creature(g, k)
+    w = v.witness
+    return v.status, v.nodes_explored, w and (w.a_side, w.b_side, w.x_row, w.y_row)
+
+
+def test_creature_work_is_pinned():
+    # verdicts, witnesses and budget counts: a pruning change must keep all three
+    for (family, m), rows in CREATURE_PINS.items():
+        g, _ = family(m)
+        assert [creature_row(g, k) for k in range(1, 6)] == rows, (family.__name__, m)
+    rng = random.Random(15)
+    lines = []
+    for _ in range(100):
+        n = rng.randint(6, 12)
+        g = erdos_renyi(n, rng.choice((0.2, 0.3, 0.4, 0.5)), rng)
+        lines += [repr((n, sorted(g.edges()), k, creature_row(g, k))) for k in range(1, 6)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "4d443d2af0bb207376f6454b0b7812f88a7dd1994a4ef3ae6a93c62da3cbebef"
+
+
+def test_creature_row_pruning_floods_only_carried_dominators(monkeypatch):
+    # each partial row floods only the components of its parent's dominating
+    # regions that meet N(x_1) or N(y_1), and the B-region only while the
+    # A-region is not empty; flooding all of both regions takes 110,527
+    calls = []
+    real = sepscope.detectors.flood
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(sepscope.detectors, "flood", counted)
+    g, _ = twisted_ladder(3)
+    assert find_creature(g, 5).nodes_explored == 22322
+    assert len(calls) == 22329
 
 
 def test_too_few_vertices_cost_no_node():

@@ -29,8 +29,14 @@ from sepscope.families import (
     twisted_ladder,
     verify_witness,
 )
+from sepscope.detectors import ABSENT, find_creature
 from sepscope.graphs import Graph
-from sepscope.separators import enumerate_closure, full_components, is_minimal_separator
+from sepscope.separators import (
+    domination_number,
+    enumerate_closure,
+    full_components,
+    is_minimal_separator,
+)
 
 
 def spec_for(fam, **kw):
@@ -163,8 +169,10 @@ def test_twisted_ladder_counts_are_pinned():
         assert count >= 2 ** k
 
 
-def test_twisted_choice_separators_are_minimal_and_distinct():
-    for k in (2, 3):
+def test_twisted_ladder_certificate():
+    # Result (iv) at k = 2..4: 2^k distinct minimal x,y-separators, separator
+    # domination number 2k, and no 5-creature (the order is 4 at k = 2)
+    for k in (2, 3, 4):
         g, w = twisted_ladder(k)
         choice = twisted_choice_separators(k, w)
         assert len(set(choice)) == 2 ** k
@@ -176,6 +184,9 @@ def test_twisted_choice_separators_are_minimal_and_distinct():
             x_side = [c for c in fulls if x in c]
             y_side = [c for c in fulls if y in c]
             assert len(x_side) == len(y_side) == 1 and x_side != y_side
+        doms = [domination_number(g, s, range(g.n))[0] for s in enumerate_closure(g)]
+        assert max(doms) == 2 * k
+        assert find_creature(g, 5).status == ABSENT
 
 
 def test_feral_sizes_and_choice_separators():
