@@ -1,10 +1,12 @@
 """Shrink long degree-2 paths without changing what the graph avoids.
 
 Shortening a long enough induced path whose interior vertices all have
-degree 2 (at least 5h vertices for patterns on up to h vertices) cannot
-create any forbidden induced subgraph that was absent before.  The reducer
-below cuts each long path of a heavily subdivided K4 once, down to 5h - 1
-vertices.
+degree 2 (at least h + 3 vertices for patterns on up to h vertices) cannot
+create any forbidden induced subgraph that was absent before: a pattern set
+either misses an interior vertex, and the vertices past the gap shift back
+into the original, or it is the whole interior, a path the original has
+too.  The reducer below cuts each long path of a heavily subdivided K4
+once, down to h + 2 vertices.
 """
 
 from sepscope import Graph, find_induced_subgraph, reduce_degree_two_paths

@@ -11,9 +11,9 @@ verdict to tame.
 The "every k-theta" quantifier ranges over infinitely many graphs.  Two
 finitizations make it checkable at desk scale:
 
-* plain path lengths are capped at 5h: any longer instance shrinks, by
-  cutting each long degree-2 path once, to one below the cap without ever
-  creating a forbidden subgraph (reduce_degree_two_paths);
+* plain paths are capped at h + 2 vertices: any longer instance shrinks to
+  one within the cap without creating a forbidden subgraph on at most h
+  vertices (path_length_cap holds the proof, reduce_degree_two_paths cuts);
 * ladder attachment layouts are checked on the canonical layout plus a
   seeded random sample, and the verdict is labelled "canonical+sampled".
 
@@ -62,7 +62,9 @@ QUASI_TAME_TYPES = (
 TAME_TYPES = ("clique", "theta", "ladder_theta", "claw", "paw")
 
 # sampled layouts per ladder type and k, and the most length multisets a
-# theta/prism/pyramid sweep may build; both are reported under `caps`
+# theta/prism/pyramid sweep may build; both are reported under `caps`.  No
+# default sweep reaches MAX_INSTANCES for h <= 8 (prism at k = 6, h = 8
+# builds C(14, 6) = 3,003); members on 14+ vertices or k_max 10 at h = 8 do.
 SAMPLE = 64
 MAX_INSTANCES = 30000
 
@@ -98,24 +100,41 @@ class ClassificationVerdict:
         }
 
 
+def path_length_cap(h: int) -> int:
+    """The longest plain path a sweep or a reduction keeps: h + 2 vertices.
+
+    Lengths count path vertices, ends included.  Contract one interior edge
+    of a path whose m >= h + 1 interior vertices all have degree 2.  A set S
+    of at most h vertices of the result either misses one of the m - 1
+    interior vertices, and then shifting the vertices past that gap one
+    step along the path embeds S in the original; or S is the whole
+    interior of h vertices, an induced path the original also has.  So
+    paths of h + 3 or more vertices shrink to h + 2 and "contains some
+    member" is preserved downward.  A run that closes a cycle (pure cycle,
+    hub loop, adjacent anchors) keeps more than h vertices at this length,
+    so S misses one.  Theta, prism and pyramid paths (k >= 3) have degree-2
+    interiors, so sweeping lengths up to the cap covers every length.
+    """
+    return h + 2
+
+
 def reduce_degree_two_paths(g: Graph, h: int) -> Graph:
-    """Cut every long all-degree-2 induced path to just under 5h vertices.
+    """Cut every long all-degree-2 induced path to path_length_cap(h) vertices.
 
     A run is a component of the degree-2 vertices; its anchors are its
     neighbours.  The longest induced path whose interior lies in a run has
     P = |run| + |anchors| vertices, less one when the run and its anchors
     close a cycle: no anchor (the run is a cycle), one hub, or two adjacent
-    anchors.  When P >= 5h, P - (5h - 1) consecutive run vertices go and
+    anchors.  When P > h + 2, P - (h + 2) consecutive run vertices go and
     the vertices on either side of them are joined; the kept vertices keep
-    their order.  Shrinking such a path cannot create a forbidden subgraph
-    on at most h vertices, so "contains some member" is preserved downward.
-    The cut is the fixpoint of contracting one run edge per round, up to
-    isomorphism: such a contraction changes no degree, so each run shrinks
-    on its own until P = 5h - 1.  Returns g itself when no run is long.
+    their order.  By path_length_cap no forbidden subgraph on at most h
+    vertices appears.  The cut is the fixpoint of contracting one run edge
+    per round, up to isomorphism: such a contraction changes no degree, so
+    each run shrinks on its own until P = h + 2.  Returns g itself when no
+    run is long.  At h = 0 a cut could join two anchors twice.
     """
-    if h <= 5:
-        raise ValueError("reduction needs h > 5")
-    floor = 5 * h
+    if h < 1:
+        raise ValueError("reduction needs h >= 1")
     nbr = [g.nbr_mask(v) for v in range(g.n)]
     deg2 = mask_of(v for v in range(g.n) if nbr[v].bit_count() == 2)
     rest, dropped, joins = deg2, 0, []
@@ -125,7 +144,7 @@ def reduce_degree_two_paths(g: Graph, h: int) -> Graph:
         anchors = reach & ~run
         a = anchors.bit_count()
         closes = a < 2 or bool(nbr[(anchors & -anchors).bit_length() - 1] & anchors)
-        cut = run.bit_count() + a - closes - (floor - 1)
+        cut = run.bit_count() + a - closes - path_length_cap(h)
         if cut <= 0:
             continue
         # drop `cut` run vertices in a row, walking away from `before`: an
@@ -166,7 +185,7 @@ def _contains_member(
     return None, capped
 
 
-def _representatives(family_type, k, length_cap, seed):
+def _representatives(family_type, k, h, seed):
     """Yield (graph, description) for every checked representative.
 
     Raises BudgetExhausted, after the all-minimum instance, when a length
@@ -182,13 +201,12 @@ def _representatives(family_type, k, length_cap, seed):
         # budget gate, so feral certificates never pay for the full sweep
         g, _ = maker((lo,) * k)
         yield g, f"{family_type}(k={k}, lengths={[lo] * k})"
-        total = comb(length_cap - lo + k, k)
+        top = path_length_cap(h)
+        total = comb(top - lo + k, k)
         if total > MAX_INSTANCES:
-            raise BudgetExhausted(
-                f"{family_type} at k={k}, cap={length_cap}: {total} length multisets "
-                f"exceed the {MAX_INSTANCES} instance cap"
-            )
-        for lengths in combinations_with_replacement(range(lo, length_cap + 1), k):
+            raise BudgetExhausted(f"{family_type} at k={k}, cap={top}: {total} length multisets "
+                                  f"exceed the {MAX_INSTANCES} instance cap")
+        for lengths in combinations_with_replacement(range(lo, top + 1), k):
             if all(l == lo for l in lengths):
                 continue
             g, _ = maker(lengths)
@@ -200,7 +218,7 @@ def _representatives(family_type, k, length_cap, seed):
         yield g, f"{family_type}(k={k}, layout=canonical)"
         rng = random.Random(seed)
         for i in range(SAMPLE):
-            g, _ = sampled_ladder_instance(family_type, k, rng, max_len=min(length_cap, 7))
+            g, _ = sampled_ladder_instance(family_type, k, rng, max_len=7)
             yield g, f"{family_type}(k={k}, layout=sampled[{i}])"
         return
     if family_type == "claw":
@@ -218,12 +236,13 @@ def forbids_family_type(
     hh: ForbiddenFamily,
     family_type: str,
     k: int,
-    length_cap: int,
     seed: int = 1,
     *,
     budget: int = 10_000_000,
 ) -> Tuple[Optional[bool], dict]:
-    """Does every capped representative of family_type contain a member of hh?
+    """Does every representative of family_type contain a member of hh?
+
+    Theta, prism and pyramid paths take every length up to path_length_cap.
 
     True comes with an embedding certificate (which members carried the
     sweep, how many instances were checked, and whether layouts were
@@ -242,7 +261,7 @@ def forbids_family_type(
     # smallest members first
     order = sorted(range(len(hh.members)), key=lambda i: hh.members[i].n)
     try:
-        for g, desc in _representatives(family_type, k, length_cap, seed):
+        for g, desc in _representatives(family_type, k, hh.h, seed):
             checked += 1
             idx, capped = _contains_member(g, hh, order, budget)
             if idx is None:
@@ -275,7 +294,6 @@ def forbids_family_type(
 def classify(
     hh: ForbiddenFamily,
     k_max: int = 6,
-    length_cap: Optional[int] = None,
     seed: int = 1,
     *,
     budget: int = 10_000_000,
@@ -294,29 +312,19 @@ def classify(
     the certificate; the k_max row stops at its first avoider, the first one
     the full row would report.  Each sweep seeds its own random layouts, so
     the skipped types change no draw of the ones that run, and the verdict
-    is that of evaluating every type at every k.  length_cap below 4, the
-    shortest theta path length, is rejected.
+    is that of evaluating every type at every k.
     """
     if k_max < 3:
         raise ValueError("k_max must be at least 3")
-    if length_cap is not None and length_cap < 4:
-        raise ValueError("length_cap must be at least 4, the shortest theta path length")
-    h_eff = max(6, hh.h)
-    cap = length_cap if length_cap is not None else 5 * h_eff
-    caps = {
-        "k_max": k_max,
-        "length_cap": cap,
-        "sample": SAMPLE,
-        "max_instances": MAX_INSTANCES,
-        "h": h_eff,
-    }
+    caps = {"k_max": k_max, "length_cap": path_length_cap(hh.h), "sample": SAMPLE,
+            "max_instances": MAX_INSTANCES, "h": hh.h}
 
     final_row: Dict[str, dict] = {}
     for k in range(3, k_max + 1):
         row: Dict[str, dict] = {}
         all_forbidden = True
         for t in QUASI_TAME_TYPES:
-            ok, ev = forbids_family_type(hh, t, k, cap, seed=seed, budget=budget)
+            ok, ev = forbids_family_type(hh, t, k, seed=seed, budget=budget)
             row[t] = ev
             if ok is not True:
                 all_forbidden = False

@@ -313,20 +313,13 @@ def cmd_classify(args) -> int:
     budget = _budget(args, classify)
     started = time.monotonic()
     try:
-        verdict = classify(
-            ForbiddenFamily(members),
-            k_max=args.kmax,
-            length_cap=args.length_cap,
-            seed=args.seed,
-            budget=budget,
-        )
+        verdict = classify(ForbiddenFamily(members), k_max=args.kmax, seed=args.seed, budget=budget)
     except ValueError as exc:
         raise CliError(str(exc))
     elapsed = int((time.monotonic() - started) * 1000)
     report = _report(
         "classify", inputs,
-        {"kmax": args.kmax, "length_cap": args.length_cap, "seed": args.seed,
-         "budget": budget},
+        {"kmax": args.kmax, "seed": args.seed, "budget": budget},
         verdict.as_dict(), verdict.status != "inconclusive", elapsed,
         args.stable_output,
     )
@@ -412,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="tame/feral verdict for a directory of graphs")
     p.add_argument("dir")
     p.add_argument("--kmax", type=int, default=6)
-    p.add_argument("--length-cap", type=int, dest="length_cap")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--budget", type=int)
     common(p)

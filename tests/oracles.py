@@ -66,7 +66,6 @@ def canonical_form(g: Graph) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
 def classify_every_row(
     hh: classifier.ForbiddenFamily,
     k_max: int = 6,
-    length_cap: Optional[int] = None,
     seed: int = 1,
     *,
     budget: int = 10_000_000,
@@ -78,16 +77,15 @@ def classify_every_row(
     of the k_max row is the feral evidence, and with none the verdict is
     inconclusive with the whole k_max row.
     """
-    h_eff = max(6, hh.h)
-    cap = length_cap if length_cap is not None else 5 * h_eff
-    caps = {"k_max": k_max, "length_cap": cap, "sample": classifier.SAMPLE,
-            "max_instances": classifier.MAX_INSTANCES, "h": h_eff}
+    caps = {"k_max": k_max, "length_cap": classifier.path_length_cap(hh.h),
+            "sample": classifier.SAMPLE, "max_instances": classifier.MAX_INSTANCES,
+            "h": hh.h}
     row: Dict[str, dict] = {}
     for k in range(3, k_max + 1):
         row = {}
         oks = []
         for t in classifier.QUASI_TAME_TYPES:
-            ok, row[t] = classifier.forbids_family_type(hh, t, k, cap, seed=seed, budget=budget)
+            ok, row[t] = classifier.forbids_family_type(hh, t, k, seed=seed, budget=budget)
             oks.append(ok)
         if all(ok is True for ok in oks):
             complete = [m.n for m in hh.members
@@ -153,18 +151,18 @@ def _run_path_vertices(g: Graph, run: Sequence[int]) -> int:
 def reduce_by_edge_rounds(g: Graph, h: int) -> Graph:
     """reduce_degree_two_paths by rounds: one middle-edge contraction each.
 
-    Any induced path on at least 5h vertices whose internal vertices all have
-    degree 2 loses one middle edge per round.  Shrinking such a path cannot
-    create a forbidden subgraph on at most h vertices, so "contains some
-    member" is preserved downward.
+    Any induced path on more than path_length_cap(h) vertices whose
+    internal vertices all have degree 2 loses one middle edge per round.
+    Shrinking such a path cannot create a forbidden subgraph on at most h
+    vertices, so "contains some member" is preserved downward.
     """
-    if h <= 5:
-        raise ValueError("reduction needs h > 5")
-    floor = 5 * h
+    if h < 1:
+        raise ValueError("reduction needs h >= 1")
+    cap = classifier.path_length_cap(h)
     while True:
         target = None
         for run in _degree_two_runs(g):
-            if len(run) >= 2 and _run_path_vertices(g, run) >= floor:
+            if len(run) >= 2 and _run_path_vertices(g, run) > cap:
                 target = run
                 break
         if target is None:

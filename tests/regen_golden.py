@@ -78,7 +78,7 @@ def _cases() -> Dict[str, List[str]]:
     cases["classify_theta"] = ["classify", "theta_dir"]
     cases["classify_k3"] = ["classify", "k3_dir"]
     # feral through a later type (theta is forbidden, prism is avoided)
-    cases["classify_claw_cap10"] = ["classify", "claw_dir", "--length-cap", "10"]
+    cases["classify_claw"] = ["classify", "claw_dir"]
     # inconclusive: every type runs out of budget, so the report is the whole row
     cases["classify_p3_budget2"] = ["classify", "p3_dir", "--budget", "2"]
     return cases

@@ -1,8 +1,10 @@
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
-from oracles import classify_every_row, reduce_by_edge_rounds
+from oracles import canonical_form, classify_every_row, reduce_by_edge_rounds
 from sepscope import classifier
 from sepscope.classifier import (
     QUASI_TAME_TYPES,
@@ -10,11 +12,12 @@ from sepscope.classifier import (
     ForbiddenFamily,
     classify,
     forbids_family_type,
+    path_length_cap,
     reduce_degree_two_paths,
 )
-from sepscope.corpus import erdos_renyi
-from sepscope.detectors import ABSENT, find_induced_subgraph
-from sepscope.families import subdivide
+from sepscope.corpus import erdos_renyi, nonisomorphic_graphs
+from sepscope.detectors import ABSENT, FOUND, find_induced_subgraph
+from sepscope.families import subdivide, theta
 from sepscope.graphs import Graph, are_isomorphic
 
 
@@ -53,14 +56,14 @@ def test_forbidden_family_computes_h():
 
 
 def test_forbids_theta_for_p3():
-    ok, ev = forbids_family_type(ForbiddenFamily((P3,)), "theta", 3, length_cap=8)
+    ok, ev = forbids_family_type(ForbiddenFamily((P3,)), "theta", 3)
     assert ok
     assert ev["forbidden"] is True
     assert ev["instances_checked"] > 0
 
 
 def test_forbids_is_false_for_triangle_family_with_certificate():
-    ok, ev = forbids_family_type(ForbiddenFamily((K3,)), "theta", 4, length_cap=20)
+    ok, ev = forbids_family_type(ForbiddenFamily((K3,)), "theta", 4)
     assert not ok
     assert ev["forbidden"] is False
     inst = Graph(ev["n"], [tuple(e) for e in ev["edges"]])
@@ -69,8 +72,9 @@ def test_forbids_is_false_for_triangle_family_with_certificate():
 
 
 def test_representative_budget_raises():
-    # C(42, 6) = 5,245,786 theta length multisets exceed MAX_INSTANCES
-    ok, ev = forbids_family_type(ForbiddenFamily((P3,)), "theta", 6, length_cap=40)
+    # h = 38 gives cap 40: C(42, 6) = 5,245,786 theta length multisets
+    # exceed MAX_INSTANCES
+    ok, ev = forbids_family_type(ForbiddenFamily((P3,), h=38), "theta", 6)
     assert ok is None
     assert ev == {
         "forbidden": None,
@@ -106,17 +110,11 @@ def test_classify_rejects_small_kmax():
         classify(ForbiddenFamily((P3,)), k_max=2)
 
 
-def test_classify_rejects_length_cap_below_four():
-    for cap in (0, 1, 2, 3):
-        with pytest.raises(ValueError, match="length_cap must be at least 4"):
-            classify(ForbiddenFamily((P3,)), length_cap=cap)
-
-
 @pytest.mark.parametrize("members, kwargs, status", [
     ((K3,), {}, "feral"),  # avoided at the first type, theta
-    ((CLAW,), {"length_cap": 10}, "feral"),  # theta forbidden, prism avoided
-    ((P3,), {"length_cap": 10}, "strongly_quasi_tame"),
-    ((K3, CLAW), {"length_cap": 10}, "tame"),
+    ((CLAW,), {}, "feral"),  # theta forbidden, prism avoided
+    ((P3,), {}, "strongly_quasi_tame"),
+    ((K3, CLAW), {}, "tame"),
     ((P3,), {"budget": 2}, "inconclusive"),  # seven `error` entries at k_max
 ])
 def test_classify_matches_every_row_evaluation(members, kwargs, status):
@@ -147,21 +145,51 @@ def test_verdict_as_dict_round_trips_through_json():
     assert json.loads(blob)["status"] == "strongly_quasi_tame"
 
 
+def test_census_of_single_member_families():
+    # every graph on 1..5 vertices as the one forbidden member
+    graphs = [g for n in range(1, 6) for g in nonisomorphic_graphs(n)]
+    verdicts = [classify(ForbiddenFamily((g,))) for g in graphs]
+    statuses = [v.status for v in verdicts]
+    assert len(graphs) == 52
+    assert Counter(statuses) == {"feral": 45, "strongly_quasi_tame": 5, "tame": 2}
+    two_k2 = next(i for i, g in enumerate(graphs) if are_isomorphic(g, Graph(4, [(0, 1), (2, 3)])))
+    assert (statuses[two_k2], verdicts[two_k2].k_certificate) == ("strongly_quasi_tame", 4)
+
+    # H induced in H' gives Free(H) inside Free(H'), so Free(H) is at least as tame
+    rank = {"feral": 0, "strongly_quasi_tame": 1, "tame": 2}
+    pairs = [(i, j) for i, small in enumerate(graphs) for j, big in enumerate(graphs)
+             if i != j and small.n <= big.n
+             and find_induced_subgraph(big, small).status == FOUND]
+    assert len(pairs) == 347
+    assert [(i, j) for i, j in pairs if rank[statuses[i]] < rank[statuses[j]]] == []
+
+    # a longer length cap (h raised by 3) or one more row changes no verdict
+    for g, v in zip(graphs, verdicts):
+        longer = classify(ForbiddenFamily((g,), h=g.n + 3))
+        wider = classify(ForbiddenFamily((g,)), k_max=7)
+        assert longer.status == wider.status == v.status
+        if v.status != "feral":
+            assert longer.k_certificate == wider.k_certificate == v.k_certificate
+
+
 # degree-2 path reduction
 
 def test_reduce_rejects_tiny_h():
-    with pytest.raises(ValueError):
-        reduce_degree_two_paths(path(40), 5)
+    # at h = 0 a cut would keep no run vertex, so two runs between the same
+    # anchors would join them twice
+    with pytest.raises(ValueError, match="h >= 1"):
+        reduce_degree_two_paths(theta((4, 4, 4))[0], 0)
+    assert reduce_degree_two_paths(theta((4, 4, 4))[0], 1).n == 5
 
 
 def test_reduce_shrinks_long_runs_only():
     g = subdivide(complete(4), 40)
     reduced = reduce_degree_two_paths(g, 6)
     assert reduced.n < g.n
-    # short runs stay: every run shrinks to just under the 5h floor
+    # short runs stay: every run shrinks to path_length_cap(6) = 8 vertices
     again = reduce_degree_two_paths(reduced, 6)
     assert again.n == reduced.n
-    short = subdivide(complete(4), 10)
+    short = subdivide(complete(4), 6)
     assert reduce_degree_two_paths(short, 6).n == short.n
 
 
@@ -222,35 +250,91 @@ def test_reduce_handles_hub_loops():
 
 
 def test_reduce_leaves_isolated_paths_alone_below_floor():
-    g = path(29)
-    assert reduce_degree_two_paths(g, 6).n == 29
-    g = path(31)
-    assert reduce_degree_two_paths(g, 6).n < 31
+    g = path(8)
+    assert reduce_degree_two_paths(g, 6) is g
+    for n in (9, 31):
+        assert reduce_degree_two_paths(path(n), 6).n == 8
 
 
 def test_reduce_run_between_adjacent_anchors():
     # the run closes a cycle through the edge 0-1, so its longest induced
     # path has r + 1 vertices
     k4 = complete(4)
-    short = with_path(k4, 0, 1, 28)
+    short = with_path(k4, 0, 1, 7)
     assert reduce_degree_two_paths(short, 6) is short
-    for r in (29, 40):
+    for r in (8, 40):
         reduced = reduce_degree_two_paths(with_path(k4, 0, 1, r), 6)
         assert are_isomorphic(reduced, short)
 
 
 def test_reduce_matches_edge_rounds():
-    inputs = [cycle(n) for n in (29, 30, 31, 50)]
-    inputs += [path(n) for n in (29, 30, 31, 60)]
-    inputs += [hub_loops(29), hub_loops(40), subdivide(complete(4), 28),
-               subdivide(complete(4), 29), subdivide(complete(4), 40)]
+    # boundaries of h = 6 and 7, whose runs are cut to 8 and 9 path vertices
+    inputs = [cycle(n) for n in (9, 10, 11, 50)]
+    inputs += [path(n) for n in (8, 9, 10, 60)]
+    inputs += [hub_loops(8), hub_loops(9), hub_loops(40), subdivide(complete(4), 6),
+               subdivide(complete(4), 7), subdivide(complete(4), 40)]
     rng = random.Random(20261019)
-    while len(inputs) < 19:
+    while len(inputs) < 20:
         base = erdos_renyi(rng.randint(4, 6), 0.5, rng)
         if base.m:
-            inputs.append(subdivide(base, rng.choice((27, 28, 29, 35))))
+            inputs.append(subdivide(base, rng.choice((5, 6, 7, 15))))
     for h in (6, 7):
         for g in inputs:
             got, want = reduce_degree_two_paths(g, h), reduce_by_edge_rounds(g, h)
             assert (got.n, got.m) == (want.n, want.m)
             assert are_isomorphic(got, want)
+
+
+def small_induced_forms(g, h):
+    """canonical_form of every induced subgraph of g on 1..h vertices."""
+    nbr = [g.nbr_mask(v) for v in range(g.n)]
+    cache = {}
+    forms = set()
+    for size in range(1, h + 1):
+        for vs in combinations(range(g.n), size):
+            # adjacency among positions, the key of the subgraph up to labels
+            key = (size, tuple(i for i, (u, v) in enumerate(combinations(vs, 2))
+                               if nbr[u] >> v & 1))
+            if key not in cache:
+                pairs = list(combinations(range(size), 2))
+                cache[key] = canonical_form(Graph(size, [pairs[i] for i in key[1]]))
+            forms.add(cache[key])
+    return forms
+
+
+def subdivided(base, counts):
+    """base with edge i replaced by a path through counts[i] new vertices."""
+    edges, n = [], base.n
+    for (u, v), c in zip(base.edges(), counts):
+        chain = [u] + list(range(n, n + c)) + [v]
+        n += c
+        edges += zip(chain, chain[1:])
+    return Graph(n, edges)
+
+
+def test_reduce_creates_no_small_induced_subgraph():
+    # every induced subgraph of the reduction on at most h vertices is an
+    # induced subgraph of the input, checked over all vertex subsets
+    rng = random.Random(20261020)
+    checked = 0
+    for h in range(1, 6):
+        cap = path_length_cap(h)
+        inputs = [cycle(n) for n in range(cap + 1, cap + 4)]
+        inputs += [path(n) for n in range(cap, cap + 3)]
+        inputs += [hub_loops(m) for m in range(cap - 1, cap + 2)]
+        inputs += [with_path(complete(3), 0, 1, r) for r in range(cap - 2, cap + 1)]
+        inputs += [theta((n, n, cap + 1))[0] for n in (4, cap + 1)]
+        while len(inputs) < 80:
+            base = erdos_renyi(rng.randint(2, 4), 0.6, rng)
+            counts = [rng.choice((0, 1, h, h + 1, h + 2)) for _ in range(base.m)]
+            g = subdivided(base, counts)
+            if base.m and g.n <= 20:  # every subset is listed, so inputs stay small
+                inputs.append(g)
+        for g in inputs:
+            reduced = reduce_degree_two_paths(g, h)
+            if reduced is g:
+                continue
+            checked += 1
+            assert reduced.n < g.n
+            assert small_induced_forms(reduced, h) <= small_induced_forms(g, h)
+    assert checked >= 250

@@ -231,12 +231,12 @@ def test_classify_p3_directory(tmp_path, capsys):
     assert doc["complete"] is True
 
 
-def test_classify_rejects_length_cap_below_four(tmp_path, capsys):
+def test_classify_rejects_kmax_below_three(tmp_path, capsys):
     d = tmp_path / "fam"
     d.mkdir()
     (d / "p3.el").write_text("3 2\n0 1\n1 2\n")
-    code, _, err = run(capsys, "classify", str(d), "--length-cap", "0")
-    assert code == 2 and "length_cap must be at least 4" in err
+    code, _, err = run(capsys, "classify", str(d), "--kmax", "2")
+    assert code == 2 and "k_max must be at least 3" in err
 
 
 def test_classify_empty_directory_errors(tmp_path, capsys):
