@@ -177,8 +177,11 @@ def _closure_masks(nbr: Sequence[int], wmask: int, budget: int) -> Set[int]:
     Expansion: for a found separator S and x in S, every N(C) for C a
     component of G[W] - (S + N[x]).  Neighbourhoods are taken in G[W].
 
-    A new candidate S is certified by a flood of all of G[W] - S that finds
-    two S-full components.  The same flood's components are kept with S
+    Each candidate S = N(C) is carried with the component C that produced
+    it, an S-full component of G[W] - S; by the theorem of Berry, Bordat
+    and Cogis every nonempty candidate is a minimal separator.  So S is
+    certified by a flood of G[W] - S - C that finds a second S-full
+    component, and C is not flooded again.  The components are kept with S
     until S is expanded; they are all of G[W] - (S + N[x]) once N(x) is
     removed from each, so the expansion floods no more than those pieces:
 
@@ -198,8 +201,8 @@ def _closure_masks(nbr: Sequence[int], wmask: int, budget: int) -> Set[int]:
     """
     found: Set[int] = set()
     seen = {0}
-    stack: List[Tuple[int, List[int], List[int]]] = []
-    pending: List[int] = []
+    stack: List[Tuple[int, List[int], List[Tuple[int, int]]]] = []
+    pending: List[Tuple[int, int]] = []  # (N(C), C)
     vs = wmask
     while vs:
         vb = vs & -vs
@@ -210,22 +213,22 @@ def _closure_masks(nbr: Sequence[int], wmask: int, budget: int) -> Set[int]:
             r &= ~comp
             cand = reach & wmask & ~comp
             if cand not in seen:
-                pending.append(cand)
+                pending.append((cand, comp))
     while True:
-        for smask in pending:
+        for smask, c in pending:
             if smask in seen:
                 continue
             seen.add(smask)
-            n_full = 0
-            wide = []  # S-full components with two or more vertices
-            partial = []  # N(D) of the components D that are not S-full
-            r = wmask & ~smask
+            n_full = 1
+            wide = [c] if c & (c - 1) else []  # S-full components, two or more vertices
+            partial = []  # (N(D), D) for the components D that are not S-full
+            r = wmask & ~smask & ~c
             while r:
                 comp, reach = flood(nbr, r & -r, r)
                 r &= ~comp
                 nd = reach & wmask & ~comp
                 if nd != smask:
-                    partial.append(nd)
+                    partial.append((nd, comp))
                     continue
                 n_full += 1
                 if comp & (comp - 1):
@@ -267,12 +270,12 @@ def _closure_masks(nbr: Sequence[int], wmask: int, budget: int) -> Set[int]:
                         near &= ~comp
                         cand = reach & wmask & ~comp
                         if cand not in seen:
-                            pending.append(cand)
+                            pending.append((cand, comp))
                 if not p & (p - 1):
                     if p:
                         cand = nbr[p.bit_length() - 1] & wmask
                         if cand not in seen:
-                            pending.append(cand)
+                            pending.append((cand, p))
                 else:
                     # the last component; only its vertex in near touches H
                     cand = nbr[near.bit_length() - 1] & h
@@ -280,7 +283,7 @@ def _closure_masks(nbr: Sequence[int], wmask: int, budget: int) -> Set[int]:
                         if nv & p:
                             cand |= vb
                     if cand not in seen:
-                        pending.append(cand)
+                        pending.append((cand, p))
 
 
 def enumerate_closure(g: Graph, *, budget: int = 2_000_000) -> List[VertexSet]:
@@ -520,7 +523,7 @@ def enumerate_branching(
 ) -> BranchResult:
     """Branching enumeration of minimal separators inside the active set.
 
-    Recursive scheme on (current graph W, active set X):
+    Recursive scheme on (current graph W, active set X inside W):
 
     * X empty: return {empty}.
     * Q = vertices whose closed neighborhood covers at least |X|/(2k) of X.
@@ -535,12 +538,19 @@ def enumerate_branching(
     superset of every minimal separator contained in X; filtering by
     is_minimal_separator recovers exactly those.
 
+    The root's collection is {V - W, (V - W) + Q} over every state (W, X)
+    the search enters, so calls return nothing and add those masks to one
+    set.  By induction: a call's set is {0, Q} plus each child's set with
+    the edge's label (Y or Q) re-added, which is what the edge removed from
+    W.  A call cut off by the budget, or entered after truncation, has the
+    set {0} and adds V - W alone; a memo hit adds nothing new.
+
     Tie-break and exploration order: ascending vertex index everywhere.
-    States are memoized on (W, X); traces come from the closure run on the
-    current induced subgraph G[W], so each node costs polynomial work per
-    separator of G[W].  The budget counts recursion nodes, and bounds each
-    trace closure's separators too; when either runs out the result is
-    partial and complete is False.
+    States are memoized on (W, X) as finished keys; traces come from the
+    closure run on the current induced subgraph G[W], so each node costs
+    polynomial work per separator of G[W].  The budget counts recursion
+    nodes, and bounds each trace closure's separators too; when either
+    runs out the result is partial and complete is False.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -577,38 +587,40 @@ def enumerate_branching(
         trace_cache[key] = out
         return out
 
-    memo: Dict[Tuple[int, int], frozenset] = {}
+    finished: Set[Tuple[int, int]] = set()
+    collected: Set[int] = set()
     nodes = 0
 
-    def rec(wmask: int, xmask: int) -> frozenset:
+    def rec(wmask: int, xmask: int) -> None:
         nonlocal nodes, truncated
         key = (wmask, xmask)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+        if key in finished:
+            return
+        removed = full & ~wmask
+        collected.add(removed)
         if truncated:
-            return frozenset((0,))
+            return
         nodes += 1
         if nodes > budget:
             truncated = True
-            return frozenset((0,))
+            return
         if xmask == 0:
-            res = frozenset((0,))
-            memo[key] = res
-            return res
+            finished.add(key)
+            return
         xsize = xmask.bit_count()
         qmask = 0
-        for v in bits(wmask):
-            nvx = ((nbr[v] & wmask) | (1 << v)) & xmask
-            if 2 * k * nvx.bit_count() >= xsize:
-                qmask |= 1 << v
-        out = {0, qmask}
+        ws = wmask
+        while ws:
+            vb = ws & -ws
+            ws ^= vb
+            if 2 * k * ((nbr[vb.bit_length() - 1] | vb) & xmask).bit_count() >= xsize:
+                qmask |= vb
+        collected.add(removed | qmask)
         # rule 1
         for q in bits(qmask):
             xq = xmask & ~(nbr[q] | (1 << q))
             for y in traces_of(wmask, q):
-                for s in rec(wmask & ~y, xq):
-                    out.add(s | y)
+                rec(wmask & ~y, xq)
         # rule 2
         wrest = wmask & ~qmask
         rest = set_of(wrest)
@@ -620,21 +632,17 @@ def enumerate_branching(
                     nr |= nbr[v]
                 child_keys.add(xmask & nr & ~qmask)
             for cx in sorted(child_keys):
-                for s in rec(wrest, cx):
-                    out.add(s | qmask)
-        res = frozenset(out)
+                rec(wrest, cx)
         if not truncated:
-            memo[key] = res
-        return res
+            finished.add(key)
 
-    collected = rec(full, x0)
+    rec(full, x0)
     raw = sorted(set_of(m) for m in collected if m)
-    filtered = [s for s in raw if is_minimal_separator(g, s)]
     return BranchResult(
         raw=tuple(raw),
-        filtered=tuple(filtered),
+        filtered=tuple(s for s in raw if is_minimal_separator(g, s)),
         nodes=nodes,
-        states=len(memo),
+        states=len(finished),
         k=k,
         complete=not truncated,
     )

@@ -1,9 +1,11 @@
 """Reference oracles shared by the tests; nothing in the package uses them."""
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import itertools
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from sepscope import classifier
-from sepscope.graphs import Graph, bits, contract_edge, mask_of
+from sepscope.graphs import BudgetExhausted, Graph, bits, contract_edge, mask_of, set_of
+from sepscope.separators import BranchResult, _closure_masks, is_minimal_separator
 
 
 def canonical_form(g: Graph) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
@@ -169,3 +171,92 @@ def reduce_by_edge_rounds(g: Graph, h: int) -> Graph:
             return g
         mid = len(target) // 2 - 1
         g, _ = contract_edge(g, target[mid], target[mid + 1])
+
+
+def branching_by_result_sets(
+    g: Graph,
+    k: int,
+    active: Optional[Iterable[int]] = None,
+    *,
+    budget: int = 2_000_000,
+) -> BranchResult:
+    """enumerate_branching with each call returning its own candidate set.
+
+    The literal recursive scheme: a call returns {0, Q} plus its children's
+    sets, each re-adding the label (Y or Q) its edge removed, and (W, X) is
+    memoized on that set.  A call cut off by the budget, or entered after
+    truncation, returns {0}.  The package collects the same candidates
+    from the states visited instead; this is the reference it is held to.
+    """
+    full = g.full_mask()
+    x0 = full if active is None else mask_of(active)
+    nbr = g._nbr
+    truncated = False
+    seps_cache: Dict[int, Set[int]] = {}
+
+    def traces_of(wmask: int, q: int) -> List[int]:
+        nonlocal truncated
+        if wmask not in seps_cache:
+            try:
+                seps_cache[wmask] = _closure_masks(nbr, wmask, budget)
+            except BudgetExhausted:
+                truncated = True
+                seps_cache[wmask] = set()
+        return sorted({m & nbr[q] for m in seps_cache[wmask] if not m >> q & 1})
+
+    memo: Dict[Tuple[int, int], frozenset] = {}
+    nodes = 0
+
+    def rec(wmask: int, xmask: int) -> frozenset:
+        nonlocal nodes, truncated
+        key = (wmask, xmask)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        if truncated:
+            return frozenset((0,))
+        nodes += 1
+        if nodes > budget:
+            truncated = True
+            return frozenset((0,))
+        if xmask == 0:
+            memo[key] = frozenset((0,))
+            return memo[key]
+        xsize = xmask.bit_count()
+        qmask = 0
+        for v in bits(wmask):
+            nvx = ((nbr[v] & wmask) | (1 << v)) & xmask
+            if 2 * k * nvx.bit_count() >= xsize:
+                qmask |= 1 << v
+        out = {0, qmask}
+        for q in bits(qmask):
+            xq = xmask & ~(nbr[q] | (1 << q))
+            for y in traces_of(wmask, q):
+                for s in rec(wmask & ~y, xq):
+                    out.add(s | y)
+        wrest = wmask & ~qmask
+        rest = set_of(wrest)
+        if len(rest) >= k:
+            child_keys = set()
+            for comb in itertools.combinations(rest, k):
+                nr = 0
+                for v in comb:
+                    nr |= nbr[v]
+                child_keys.add(xmask & nr & ~qmask)
+            for cx in sorted(child_keys):
+                for s in rec(wrest, cx):
+                    out.add(s | qmask)
+        res = frozenset(out)
+        if not truncated:
+            memo[key] = res
+        return res
+
+    raw = sorted(set_of(m) for m in rec(full, x0) if m)
+    return BranchResult(
+        raw=tuple(raw),
+        filtered=tuple(s for s in raw if is_minimal_separator(g, s)),
+        nodes=nodes,
+        states=len(memo),
+        k=k,
+        complete=not truncated,
+    )

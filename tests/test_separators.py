@@ -6,7 +6,7 @@ import pytest
 from sepscope.corpus import erdos_renyi, nonisomorphic_graphs
 from sepscope.cli import result_doc
 from sepscope import separators
-from sepscope.families import claw_feral, feral_choice_separators, paw_feral
+from sepscope.families import claw_feral, feral_choice_separators, paw_feral, twisted_ladder
 from sepscope.graphs import BudgetExhausted, Graph, components
 from sepscope.separators import (
     _closure_masks,
@@ -24,6 +24,8 @@ from sepscope.separators import (
     shattered_set_max,
     trace_family,
 )
+
+from oracles import branching_by_result_sets
 
 
 def path(n):
@@ -169,7 +171,8 @@ def test_feral_closures_are_pinned():
 
 def test_closure_work_is_pinned(monkeypatch):
     # flood calls for the closure of claw_feral(2, 6); flooding all of
-    # G - (S + N[x]) for every separator S and x in S made 183,185
+    # G - (S + N[x]) for every separator S and x in S made 183,185, and
+    # flooding all of G - S to certify each candidate made 51,222
     calls = 0
     real = separators.flood
 
@@ -180,7 +183,7 @@ def test_closure_work_is_pinned(monkeypatch):
 
     monkeypatch.setattr(separators, "flood", counting_flood)
     assert len(enumerate_closure(claw_feral(2, 6)[0])) == 19047
-    assert calls == 51222
+    assert calls == 32175
 
 
 def test_closure_budget_on_a_feral_graph():
@@ -219,6 +222,23 @@ def test_branching_filters_to_oracle():
         assert sorted(res.filtered) == want
         # raw is a superset: branching may return non-minimal separators
         assert set(res.filtered) <= set(res.raw)
+
+
+def test_branching_collects_what_result_sets_return():
+    # the collected candidates, node and state counts and completeness equal
+    # the set-propagating recursion's, complete or cut off by a budget
+    cases = [(g, k, None, b)
+             for n in range(1, 7) for g in nonisomorphic_graphs(n, connected=True)
+             for k in (1, 2, 3) for b in (1, 3, 7, 12, 20, 30, 2_000_000)]
+    rng = random.Random(18)
+    for _ in range(150):
+        g = erdos_renyi(rng.randint(6, 10), 0.35, rng)
+        active = [v for v in range(g.n) if rng.random() < 0.6]
+        cases.append((g, rng.randint(1, 3), active, rng.choice([rng.randint(1, 200), 2_000_000])))
+    cases.append((twisted_ladder(2)[0], 3, None, 5000))
+    for g, k, active, budget in cases:
+        got = enumerate_branching(g, k, active, budget=budget)
+        assert got == branching_by_result_sets(g, k, active, budget=budget), (g.edges(), k, budget)
 
 
 def test_branching_small_k_is_still_sound():
