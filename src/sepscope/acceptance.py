@@ -68,7 +68,7 @@ def _creature_orders(n_max: int) -> List[int]:
 
 
 def criterion_1() -> Row:
-    """Closure enumeration equals the subset oracle on the whole corpus."""
+    """Closure enumeration equals the connected-set oracle on the whole corpus."""
     corpus = _corpus(8)
     oracle = _oracle_lists(8)
     bad = 0

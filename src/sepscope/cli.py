@@ -7,9 +7,9 @@ Every subcommand assembles the same report envelope:
 
 dumped with sorted keys so runs are byte-identical for identical inputs.
 Outcomes are data, not errors: found, absent and a run-out budget
-(`complete: false`) all exit 0.  Exit code 2 means malformed input only;
-verify exits 1 when a criterion fails.  --stable-output zeroes elapsed_ms
-for diff-friendly golden files.
+(`complete: false`) all exit 0.  Exit code 2 means malformed input or an
+out-of-range option only; verify exits 1 when a criterion fails.
+--stable-output zeroes elapsed_ms for diff-friendly golden files.
 
 A budget is --budget, else the keyword-only `budget` default of the route
 run; the route's docstring gives its unit.
@@ -47,6 +47,8 @@ class CliError(Exception):
 def _budget(args, route) -> int:
     """The --budget flag, else route's own default."""
     if args.budget is not None:
+        if args.budget < 0:
+            raise CliError("--budget must be nonnegative")
         return args.budget
     return inspect.unwrap(route).__kwdefaults__["budget"]
 
@@ -231,7 +233,10 @@ def cmd_enum(args) -> int:
         if args.k is None:
             raise CliError("--algo branching needs --k (domination bound)")
         budget = _budget(args, enumerate_branching)
-        res = enumerate_branching(g, args.k, budget=budget)
+        try:
+            res = enumerate_branching(g, args.k, budget=budget)
+        except ValueError as exc:
+            raise CliError(str(exc))
         seps = res.filtered
         complete = res.complete
         extra = {
@@ -266,23 +271,26 @@ def cmd_detect(args) -> int:
     if args.kind == "creature":
         if args.k is None:
             raise CliError("detect creature needs --k")
-        budget = _budget(args, find_creature)
-        verdict = find_creature(g, args.k, budget=budget)
-        config.update(k=args.k, budget=budget)
+        route, arg = find_creature, args.k
+        config.update(k=args.k)
     elif args.kind in ("subgraph", "minor"):
         if not args.pattern:
             raise CliError(f"detect {args.kind} needs a pattern graph file")
         h = _load_graph(args.pattern, inputs)
         route = find_induced_subgraph if args.kind == "subgraph" else find_induced_minor
-        budget = _budget(args, route)
-        verdict = route(g, h, budget=budget)
-        config.update(budget=budget, pattern_n=h.n, pattern_m=h.m)
+        arg = h
+        config.update(pattern_n=h.n, pattern_m=h.m)
     else:
         if args.r is None:
             raise CliError("detect cycle needs --r")
-        budget = _budget(args, longest_induced_cycle_at_least)
-        verdict = longest_induced_cycle_at_least(g, args.r, budget=budget)
-        config.update(r=args.r, budget=budget)
+        route, arg = longest_induced_cycle_at_least, args.r
+        config.update(r=args.r)
+    budget = _budget(args, route)
+    config.update(budget=budget)
+    try:
+        verdict = route(g, arg, budget=budget)
+    except ValueError as exc:
+        raise CliError(str(exc))
     elapsed = int((time.monotonic() - started) * 1000)
     results = {
         "status": verdict.status,

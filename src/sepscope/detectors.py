@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .graphs import BudgetExhausted, Graph, bits, flood, mask_of, set_of
+from .graphs import BudgetExhausted, Graph, bits, connected_sets, flood, mask_of, set_of
 from .families import FamilySpec, StructureWitness, skinny_ladder, verify_witness
 
 VertexSet = Tuple[int, ...]
@@ -235,43 +235,6 @@ def find_induced_subgraph(g: Graph, h: Graph, *, budget: int = 10_000_000) -> Se
 # ---------------------------------------------------------------------------
 
 
-def _connected_sets(
-    nbr: Sequence[int], allowed: int, anchors: int, stop: Optional[Callable[[int], bool]] = None
-) -> Iterator[int]:
-    """Each connected subset of allowed that meets anchors, exactly once.
-
-    nbr[v] is the neighbour mask of v.  A set is rooted at its lowest anchor:
-    the sets rooted at anchor a grow from {a} with the lower anchors banned.
-    Each set S carries its extension set, the vertices next to S that it may
-    still take.  S's children take those vertices one at a time in ascending
-    order, and each child bans the vertices its elder siblings took.  So a
-    connected set above S that avoids S's banned vertices descends through
-    exactly one child, the one taking its lowest extension vertex: every set
-    has one growth path, and no `seen` set is needed.  A set for which stop
-    holds is yielded but not grown.  Depth first, younger children last.
-    """
-    anchors &= allowed
-    while anchors:
-        a = anchors & -anchors
-        anchors ^= a
-        room = allowed & ~a
-        # (set, extension set, vertices it may still take)
-        stack = [(a, nbr[a.bit_length() - 1] & room, room)]
-        while stack:
-            s, ext, room = stack.pop()
-            yield s
-            if stop is not None and stop(s):
-                continue
-            children = []
-            while ext:
-                b = ext & -ext
-                ext ^= b
-                room ^= b
-                children.append((s | b, ext | nbr[b.bit_length() - 1] & room, room))
-            stack.extend(reversed(children))
-        allowed ^= a
-
-
 def find_induced_minor(g: Graph, h: Graph, *, budget: int = 2_000_000) -> SearchVerdict:
     """Exact induced-minor test by branch-set growth.
 
@@ -335,14 +298,14 @@ def find_induced_minor(g: Graph, h: Graph, *, budget: int = 2_000_000) -> Search
             allowed &= ~((low << 1) - 1)
         needs = [nbhd[j] for j in adj]
         anchors = min((r & allowed for r in needs), key=int.bit_count) if needs else allowed
-        for s in _connected_sets(gnbr, allowed, anchors):
+        for s, reach in connected_sets(gnbr, allowed, anchors):
             nodes += 1
             if nodes > budget:
                 raise BudgetExhausted
             if any(not (r & s) for r in needs):
                 continue
             sets[d] = s
-            nbhd[d] = g.nbhd_mask(s)
+            nbhd[d] = reach & ~s
             # only u is confined to allowed; later sets draw from free again
             if rec(d + 1, free & ~s):
                 return True
@@ -501,12 +464,12 @@ def _creature_ab(
     def dominates(amask: int) -> bool:
         return all(req & amask for req in xneed)
 
-    for amask in _connected_sets(g._nbr, region_a, xneed[0], dominates):
+    for amask, reach in connected_sets(g._nbr, region_a, xneed[0], dominates):
         nodes += 1
         if nodes > budget:
             raise BudgetExhausted
         if dominates(amask):
-            region = region_b & ~(g.nbhd_mask(amask) | amask)
+            region = region_b & ~(reach | amask)
             comps = _dominating_components(g._nbr, region, ys)
             if comps:
                 return (amask, min(comps, key=lambda c: c & -c)), nodes

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 class GraphError(ValueError):
@@ -59,6 +59,43 @@ def flood(nbr: Sequence[int], seed: int, within: int) -> Tuple[int, int]:
         frontier = reach & within & ~comp
         comp |= frontier
     return comp, reach
+
+
+def connected_sets(
+    nbr: Sequence[int], allowed: int, anchors: int, stop: Optional[Callable[[int], bool]] = None
+) -> Iterator[Tuple[int, int]]:
+    """Each connected subset of allowed that meets anchors, exactly once.
+
+    Yields (set, reach), where reach is the OR of the neighbour masks of the
+    set's vertices, so reach & ~set is its neighbourhood.  A set is rooted at
+    its lowest anchor: the sets rooted at anchor a grow from {a} with the
+    lower anchors banned.  Each set S carries the vertices it may still
+    take; its extension set is the part of reach among them.  S's children
+    take the extension vertices one at a time in ascending order, and the
+    child that takes b bans every extension vertex up to b.  So a connected
+    set above S that avoids S's banned vertices descends through exactly one
+    child, the one taking its lowest extension vertex: every set has one
+    growth path, and no `seen` set is needed.  A set for which stop holds is
+    yielded but not grown.  Depth first, younger children last.
+    """
+    anchors &= allowed
+    while anchors:
+        a = anchors & -anchors
+        anchors ^= a
+        allowed ^= a
+        # (set, its reach, vertices it may still take)
+        stack = [(a, nbr[a.bit_length() - 1], allowed)]
+        while stack:
+            s, reach, room = stack.pop()
+            yield s, reach
+            if stop is not None and stop(s):
+                continue
+            ext = reach & room
+            while ext:
+                v = ext.bit_length() - 1
+                b = 1 << v
+                ext ^= b
+                stack.append((s | b, reach | nbr[v], room & ~(ext | b)))
 
 
 class Graph:

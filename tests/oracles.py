@@ -5,7 +5,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from sepscope import classifier
 from sepscope.graphs import BudgetExhausted, Graph, bits, contract_edge, mask_of, set_of
-from sepscope.separators import BranchResult, _closure_masks, is_minimal_separator
+from sepscope.separators import BranchResult, _closure_masks, _is_min_sep_in, is_minimal_separator
 
 
 def canonical_form(g: Graph) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
@@ -171,6 +171,17 @@ def reduce_by_edge_rounds(g: Graph, h: int) -> Graph:
             return g
         mid = len(target) // 2 - 1
         g, _ = contract_edge(g, target[mid], target[mid + 1])
+
+
+def min_sep_masks_by_subsets(nbr: Sequence[int], wmask: int) -> List[int]:
+    """All minimal separator masks of the graph induced on wmask, by brute force."""
+    out = []
+    s = wmask
+    while s:
+        if _is_min_sep_in(nbr, wmask, s):
+            out.append(s)
+        s = (s - 1) & wmask
+    return out
 
 
 def branching_by_result_sets(

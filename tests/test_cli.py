@@ -239,6 +239,19 @@ def test_classify_rejects_kmax_below_three(tmp_path, capsys):
     assert code == 2 and "k_max must be at least 3" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("detect", "creature", "{p4}", "--k", "0"), "creature order must be at least 1"),
+    (("enum", "{p4}", "--algo", "branching", "--k", "0"), "k must be at least 1"),
+    (("detect", "cycle", "{p4}", "--r", "2"), "cycles need at least 3 vertices"),
+    (("enum", "{p4}", "--budget", "-1"), "--budget must be nonnegative"),
+    (("detect", "subgraph", "{p4}", "{p4}", "--budget", "-5"), "--budget must be nonnegative"),
+])
+def test_out_of_range_options_exit_2(tmp_path, capsys, argv, message):
+    p4 = write(tmp_path, "p4.el", "4 3\n0 1\n1 2\n2 3\n")
+    code, out, err = run(capsys, *(a.format(p4=p4) for a in argv))
+    assert (code, out) == (2, "") and f"error: {message}" in err, err
+
+
 def test_classify_empty_directory_errors(tmp_path, capsys):
     d = tmp_path / "fam"
     d.mkdir()

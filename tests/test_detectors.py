@@ -8,7 +8,6 @@ from sepscope.detectors import (
     ABSENT,
     FOUND,
     UNKNOWN,
-    _connected_sets,
     extract_skinny_ladder,
     find_creature,
     find_induced_minor,
@@ -431,45 +430,6 @@ def test_minor_budget_edge_on_a_twin_pattern():
     assert find_induced_minor(g, complete(5), budget=nodes).status == ABSENT
     edge = find_induced_minor(g, complete(5), budget=nodes - 1)
     assert (edge.status, edge.witness, edge.nodes_explored) == (UNKNOWN, None, nodes)
-
-
-def connected_subsets_by_brute_force(g, allowed, anchors):
-    return sorted(
-        m for m in range(1, 1 << g.n)
-        if m & ~allowed == 0 and m & anchors and g.is_connected_mask(m)
-    )
-
-
-def test_connected_sets_yields_each_anchored_set_once():
-    rng = random.Random(33)
-    for _ in range(60):
-        g = erdos_renyi(rng.randint(1, 8), rng.choice((0.2, 0.4, 0.6)), rng)
-        allowed = rng.getrandbits(g.n) | rng.getrandbits(g.n)
-        anchors = rng.getrandbits(g.n)
-        # a search that repeats sets must not run away; 2^n sets are more than enough
-        got = list(itertools.islice(_connected_sets(g._nbr, allowed, anchors), 1 << g.n))
-        assert sorted(got) == connected_subsets_by_brute_force(g, allowed, anchors), g.edges()
-
-
-def test_connected_sets_stop_keeps_every_minimal_stopping_set():
-    # a stopping set is never grown, yet every inclusion-minimal one is
-    # reached: each set on its growth path is a proper subset, so not stopping
-    rng = random.Random(34)
-    for _ in range(60):
-        g = erdos_renyi(rng.randint(2, 8), rng.choice((0.3, 0.5)), rng)
-        targets = [rng.getrandbits(g.n) | 1 << rng.randrange(g.n) for _ in range(2)]
-
-        def stop(m):
-            return all(t & m for t in targets)
-
-        full = g.full_mask()
-        got = list(itertools.islice(_connected_sets(g._nbr, full, targets[0], stop), 1 << g.n))
-        assert len(got) == len(set(got))
-        every = connected_subsets_by_brute_force(g, full, targets[0])
-        assert set(got) <= set(every)
-        stopping = [m for m in every if stop(m)]
-        minimal = [m for m in stopping if not any(o != m and o & ~m == 0 for o in stopping)]
-        assert set(minimal) <= set(got)
 
 
 def test_minor_cap():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from sepscope.graphs import (
     GraphError,
     are_isomorphic,
     components,
+    connected_sets,
     contract_edge,
     contract_set,
     disjoint_union,
@@ -106,6 +108,57 @@ def test_anticomplete_and_dominates():
     assert not g.nbhd_mask(mask_of((0,)), closed=True) >> 3 & 1
     # open domination: a vertex does not cover itself
     assert not g.nbhd_mask(mask_of((0,))) & 1
+
+
+def connected_subsets_by_brute_force(g, allowed, anchors):
+    return sorted(
+        m for m in range(1, 1 << g.n)
+        if m & ~allowed == 0 and m & anchors and g.is_connected_mask(m)
+    )
+
+
+def assert_reach_is_the_or_of_nbr(g, pairs):
+    for s, reach in pairs:
+        want = 0
+        for v in set_of(s):
+            want |= g.nbr_mask(v)
+        assert reach == want, (g.edges(), s)
+
+
+def test_connected_sets_yields_each_anchored_set_once():
+    rng = random.Random(33)
+    for _ in range(60):
+        g = random_graph(rng.randint(1, 8), rng.choice((0.2, 0.4, 0.6)), rng)
+        allowed = rng.getrandbits(g.n) | rng.getrandbits(g.n)
+        anchors = rng.getrandbits(g.n)
+        # a search that repeats sets must not run away; 2^n sets are more than enough
+        got = list(itertools.islice(connected_sets(g._nbr, allowed, anchors), 1 << g.n))
+        assert_reach_is_the_or_of_nbr(g, got)
+        want = connected_subsets_by_brute_force(g, allowed, anchors)
+        assert sorted(s for s, _ in got) == want, g.edges()
+
+
+def test_connected_sets_stop_keeps_every_minimal_stopping_set():
+    # a stopping set is never grown, yet every inclusion-minimal one is
+    # reached: each set on its growth path is a proper subset, so not stopping
+    rng = random.Random(34)
+    for _ in range(60):
+        g = random_graph(rng.randint(2, 8), rng.choice((0.3, 0.5)), rng)
+        targets = [rng.getrandbits(g.n) | 1 << rng.randrange(g.n) for _ in range(2)]
+
+        def stop(m):
+            return all(t & m for t in targets)
+
+        full = g.full_mask()
+        pairs = list(itertools.islice(connected_sets(g._nbr, full, targets[0], stop), 1 << g.n))
+        assert_reach_is_the_or_of_nbr(g, pairs)
+        got = [s for s, _ in pairs]
+        assert len(got) == len(set(got))
+        every = connected_subsets_by_brute_force(g, full, targets[0])
+        assert set(got) <= set(every)
+        stopping = [m for m in every if stop(m)]
+        minimal = [m for m in stopping if not any(o != m and o & ~m == 0 for o in stopping)]
+        assert set(minimal) <= set(got)
 
 
 def test_induced_subgraph_relabels():

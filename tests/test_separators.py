@@ -25,7 +25,7 @@ from sepscope.separators import (
     trace_family,
 )
 
-from oracles import branching_by_result_sets
+from oracles import branching_by_result_sets, min_sep_masks_by_subsets
 
 
 def path(n):
@@ -67,6 +67,55 @@ def test_oracle_disconnected_has_no_empty_separator():
 def test_oracle_cap():
     with pytest.raises(BudgetExhausted):
         enumerate_oracle(path(20), budget=1 << 16)
+
+
+def test_oracle_matches_subsets_on_every_class_n7():
+    graphs = [g for n in range(1, 8) for g in nonisomorphic_graphs(n)]
+    assert len(graphs) == 1252
+    for g in graphs:
+        assert _min_sep_masks_in(g._nbr, g.full_mask()) == set(
+            min_sep_masks_by_subsets(g._nbr, g.full_mask())
+        ), g.edges()
+
+
+def test_oracle_matches_subsets_inside_vertex_subsets():
+    rng = random.Random(1919)
+    disconnected = 0
+    for _ in range(300):
+        n = rng.randint(5, 12)
+        g = erdos_renyi(n, rng.choice((0.2, 0.35, 0.5, 0.7)), rng)
+        w = sum(1 << v for v in range(n) if rng.random() < 0.8) or g.full_mask()
+        disconnected += len(g.components_masks(w)) > 1
+        assert _min_sep_masks_in(g._nbr, w) == set(min_sep_masks_by_subsets(g._nbr, w)), (
+            g.edges(), w,
+        )
+    assert disconnected > 50, disconnected
+    for n in range(12, 15):
+        for p in (0.2, 0.3, 0.5):
+            g = erdos_renyi(n, p, rng)
+            full = g.full_mask()
+            assert _min_sep_masks_in(g._nbr, full) == set(min_sep_masks_by_subsets(g._nbr, full))
+
+
+def test_oracle_work_is_pinned(monkeypatch):
+    # connected sets visited: C8 has 8 * 7 arcs plus the whole cycle, a path
+    # on 20 vertices 20 * 21 / 2 subpaths; no vertex subset is flooded
+    visited = 0
+    real = separators.connected_sets
+
+    def counting_connected_sets(*args):
+        nonlocal visited
+        for item in real(*args):
+            visited += 1
+            yield item
+
+    monkeypatch.setattr(separators, "connected_sets", counting_connected_sets)
+    monkeypatch.setattr(separators, "flood", None)
+    assert len(enumerate_oracle(cycle(8))) == 20
+    assert visited == 57
+    visited = 0
+    assert enumerate_oracle(path(20)) == [(v,) for v in range(1, 19)]
+    assert visited == 210
 
 
 def test_is_minimal_separator():
@@ -113,7 +162,7 @@ def test_closure_matches_oracle_inside_proper_vertex_subsets():
         while w == g.full_mask():
             w = sum(1 << v for v in range(n) if rng.random() < 0.75)
         got = _closure_masks(g._nbr, w, 1 << n)
-        assert got == set(_min_sep_masks_in(g._nbr, w)), (g.edges(), w)
+        assert got == set(min_sep_masks_by_subsets(g._nbr, w)), (g.edges(), w)
 
 
 def sparse_graph(rng, n):
@@ -140,7 +189,7 @@ def test_closure_matches_oracle_on_sparse_graphs_and_subsets():
             if w and w != g.full_mask():
                 subsets.append(w)
         for w in subsets:
-            want = set(_min_sep_masks_in(g._nbr, w))
+            want = set(min_sep_masks_by_subsets(g._nbr, w))
             assert _closure_masks(g._nbr, w, 1 << n) == want, (g.edges(), w)
             wverts = [v for v in range(n) if w >> v & 1]
             disconnected += len(components(g, wverts)) > 1
