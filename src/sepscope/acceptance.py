@@ -22,6 +22,7 @@ from .detectors import (
     validate_minor_witness,
 )
 from .families import (
+    BUNDLES,
     FamilySpec,
     almost_skinny_ladder,
     claw_feral,
@@ -146,8 +147,8 @@ def criterion_4() -> Row:
 def criterion_5() -> Row:
     """Family counting bounds: 2^{k-2} for the named trio, 2^{2^c} for ferals."""
     problems = []
-    mins = {"theta": 4, "prism": 2, "pyramid": 3}
-    for fam, lo in mins.items():
+    for fam in ("theta", "prism", "pyramid"):
+        lo = BUNDLES[fam][1]
         for k in (3, 4, 5):
             g, _ = generate(FamilySpec(fam, k=k, path_lengths=(lo,) * k))
             count = len(enumerate_closure(g))

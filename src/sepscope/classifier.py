@@ -37,6 +37,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .detectors import FOUND, UNKNOWN, find_induced_subgraph
 from .families import (
+    BUNDLES,
     claw,
     ladder_theta,
     ladder_prism,
@@ -192,11 +193,8 @@ def _representatives(family_type, k, h, seed):
     sweep would build more than MAX_INSTANCES graphs.
     """
     if family_type in ("theta", "prism", "pyramid"):
-        maker, lo = {
-            "theta": (theta, 4),
-            "prism": (prism, 2),
-            "pyramid": (pyramid, 3),
-        }[family_type]
+        maker = {"theta": theta, "prism": prism, "pyramid": pyramid}[family_type]
+        lo = BUNDLES[family_type][1]
         # all-minimum lengths first: a cheap avoidance probe before the
         # budget gate, so feral certificates never pay for the full sweep
         g, _ = maker((lo,) * k)

@@ -16,12 +16,15 @@ path order, everything else sorted.  Role name patterns:
 Length convention everywhere: the length of a path is its vertex count.
 
 The six path-bundle families (theta, prism, pyramid, ladder_theta,
-ladder_prism, ladder) are defined in one place, the `_BUNDLES` table.  Each
+ladder_prism, ladder) are defined in one place, the `BUNDLES` table.  Each
 is k paths P_1..P_k of some least length, and each end of the bundle is one
 shared vertex (role a or b), a k-clique (roles a_i or b_i), or private path
 ends a_i or b_i attached to a backbone path (L on the a-end, R on the
-b-end) in pairwise disjoint hulls.  `_bundle` builds all six from the table
-and `_v_bundle` verifies them.
+b-end) in pairwise disjoint hulls.  `_bundle` builds all six from the table.
+
+`verify_witness` checks every family one way: from the roles, a verifier
+derives pieces that must partition V, the exact edge set the roles imply,
+and the free end-to-backbone or spoke-to-path pairs g may use.
 
 The twisted ladder is defined only up to the properties its separator-count
 and creature-freeness arguments use; the adjacency implemented here is a
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .graphs import Graph, disjoint_union, mask_of
@@ -116,6 +119,16 @@ class _Builder:
         self.edges.extend(combinations(vs, 2))
         return vs
 
+    def long(self, arm: int, paw: bool, last_a: Optional[int] = None) -> Tuple[List[int], List[List[int]]]:
+        """A long paw (a triangle) or long claw (one center) with arms a, b, c
+        of `arm` vertices each; `last_a`, when given, ends the a-arm.
+
+        Returns the three arm starts (the center thrice for a claw) and the
+        three arms, each running from its start to its leaf.
+        """
+        starts = self.clique(3) if paw else [self.vertex()] * 3
+        return starts, [self.path(arm, s, last) for s, last in zip(starts, (last_a, None, None))]
+
     def graph(self) -> Graph:
         return Graph(self.count, self.edges)
 
@@ -145,7 +158,7 @@ def _hulls_overlap(attach: Sequence[Sequence[int]]) -> bool:
 _ONE, _CLIQUE, _PATH = "one", "clique", "path"
 
 # family -> (least k, least path length, a-end kind, b-end kind)
-_BUNDLES = {
+BUNDLES = {
     "theta": (3, 4, _ONE, _ONE),
     "prism": (3, 2, _CLIQUE, _CLIQUE),
     "pyramid": (3, 3, _ONE, _CLIQUE),
@@ -175,13 +188,13 @@ def _bundle(
     r_len: Optional[int] = None,
     r_attach: Optional[Sequence[Sequence[int]]] = None,
 ) -> Tuple[Graph, StructureWitness]:
-    """The k-path bundle of `_BUNDLES[fam]`.
+    """The k-path bundle of `BUNDLES[fam]`.
 
     Vertices are numbered a-end first, then b-end, then each path's new
     vertices in order.  A backbone defaults to k vertices with the i-th
     path end attached to its i-th vertex.
     """
-    min_k, min_len, a_end, b_end = _BUNDLES[fam]
+    min_k, min_len, a_end, b_end = BUNDLES[fam]
     _need(k >= min_k, "%s needs k >= %d", fam, min_k)
     lengths = (min_len,) * k if lengths is None else tuple(lengths)
     _need(len(lengths) == k, "%s needs one length per path", fam)
@@ -300,7 +313,7 @@ def sampled_ladder_instance(
 ) -> Tuple[Graph, StructureWitness]:
     """One random layout of a ladder-type family: backbone lengths, disjoint
     attachment hulls in shuffled order, and (optionally) random path lengths."""
-    min_len = _BUNDLES[fam][1]
+    min_len = BUNDLES[fam][1]
     if lengths is None:
         hi = max_len if max_len is not None else min_len + 3
         lengths = tuple(rng.randint(min_len, hi) for _ in range(k))
@@ -320,14 +333,9 @@ def sampled_ladder_instance(
 def _long(arm: int, paw: bool) -> Tuple[Graph, StructureWitness]:
     _need(arm >= 2, "%s needs arm length >= 2", "long_paw" if paw else "long_claw")
     b = _Builder()
-    if paw:
-        starts = b.clique(3)
-        w = StructureWitness({"triangle": tuple(starts)})
-    else:
-        starts = [b.vertex()] * 3
-        w = StructureWitness({"v": (starts[0],)})
-    for i, (start, leaf) in enumerate(zip(starts, "abc"), 1):
-        p = b.path(arm, first=start)
+    starts, arms = b.long(arm, paw)
+    w = StructureWitness({"triangle": tuple(starts)} if paw else {"v": (starts[0],)})
+    for i, (p, leaf) in enumerate(zip(arms, "abc"), 1):
         w.role_map[f"P_{i}"] = tuple(p)
         w.role_map[leaf] = (p[-1],)
     return b.graph(), w
@@ -423,6 +431,13 @@ def almost_skinny_ladder(
 # ---------------------------------------------------------------------------
 
 
+def _twisted_spokes(L: Sequence[int], R: Sequence[int], i: int, a1: int, b1: int) -> List[Tuple[int, int]]:
+    """Block i's spoke edges: a1_i meets R on both sides of a2_i and L at
+    b2_i; b1_i meets L on both sides of b2_i and R at a2_i."""
+    return [(a1, R[3 * i - 2]), (a1, R[3 * i]), (a1, L[3 * i - 2]),
+            (b1, L[3 * i - 3]), (b1, L[3 * i - 1]), (b1, R[3 * i - 1])]
+
+
 def twisted_ladder(k: int) -> Tuple[Graph, StructureWitness]:
     """The k-block counterexample family: 8k+2 vertices, 12k edges.
 
@@ -443,10 +458,7 @@ def twisted_ladder(k: int) -> Tuple[Graph, StructureWitness]:
     for i in range(1, k + 1):
         ai = b.vertex()
         bi = b.vertex()
-        # a1_i: two R attachments skipping a2_i, one L attachment at b2_i
-        b.edges += [(ai, R[3 * i - 2]), (ai, R[3 * i]), (ai, L[3 * i - 2])]
-        # b1_i: two L attachments skipping b2_i, one R attachment at a2_i
-        b.edges += [(bi, L[3 * i - 3]), (bi, L[3 * i - 1]), (bi, R[3 * i - 1])]
+        b.edges += _twisted_spokes(L, R, i, ai, bi)
         w.role_map[f"a1_{i}"] = (ai,)
         w.role_map[f"b1_{i}"] = (bi,)
         w.role_map[f"a2_{i}"] = (R[3 * i - 1],)
@@ -484,49 +496,26 @@ def twisted_choice_separators(k: int, w: StructureWitness) -> List[VertexSet]:
 def _feral(c: int, h: int, paw_nodes: bool) -> Tuple[Graph, StructureWitness]:
     _need(c >= 1, "feral construction needs c >= 1")
     _need(h >= 3, "feral construction needs arm length >= 3")
-    ids: Dict[tuple, int] = {}
-
-    def vid(key: tuple) -> int:
-        if key not in ids:
-            ids[key] = len(ids)
-        return ids[key]
-
-    def leaf_key(t: int, i: int, arm: str) -> tuple:
-        # the a-leaf of a non-root node is the glue point on its parent
-        if arm == "a" and i > 1:
-            parent, parm = i // 2, ("b" if i % 2 == 0 else "c")
-            return (t, parent, parm, "leaf")
-        return (t, i, arm, "leaf")
-
-    edges: List[Tuple[int, int]] = []
+    b = _Builder()
     w = StructureWitness()
-    nodes = range(1, 1 << c)
     for t in (1, 2):
-        for i in nodes:
+        first = b.count
+        for i in range(1, 1 << c):
+            # the a-leaf of a non-root node is the b- or c-leaf of its parent
+            glue = w.one(f"{'bc'[i % 2]}_{t}_{i // 2}") if i > 1 else None
+            starts, arms = b.long(h, paw_nodes, glue)
             if paw_nodes:
-                starts = [vid((t, i, "tri", j)) for j in range(3)]
-                edges += [(starts[0], starts[1]), (starts[0], starts[2]), (starts[1], starts[2])]
                 w.role_map[f"triangle_{t}_{i}"] = tuple(starts)
             else:
-                ctr = vid((t, i, "ctr"))
-                starts = [ctr, ctr, ctr]
-                w.role_map[f"center_{t}_{i}"] = (ctr,)
-            for start, arm in zip(starts, "abc"):
-                seq = [start]
-                for pos in range(1, h):
-                    key = leaf_key(t, i, arm) if pos == h - 1 else (t, i, arm, pos)
-                    seq.append(vid(key))
-                for u, v in zip(seq, seq[1:]):
-                    edges.append((u, v))
-                w.role_map[f"arm_{t}_{i}_{arm}"] = tuple(seq)
-                w.role_map[f"{arm}_{t}_{i}"] = (seq[-1],)
+                w.role_map[f"center_{t}_{i}"] = (starts[0],)
+            for p, arm in zip(arms, "abc"):
+                w.role_map[f"arm_{t}_{i}_{arm}"] = tuple(p)
+                w.role_map[f"{arm}_{t}_{i}"] = (p[-1],)
+        w.role_map[f"tree_{t}"] = tuple(range(first, b.count))
     for i in range(1 << (c - 1), 1 << c):
         for arm in "bc":
-            edges.append((vid((1, i, arm, "leaf")), vid((2, i, arm, "leaf"))))
-    g = Graph(len(ids), edges)
-    for t in (1, 2):
-        w.role_map[f"tree_{t}"] = tuple(sorted(v for key, v in ids.items() if key[0] == t))
-    return g, w
+            b.edges.append((w.one(f"{arm}_1_{i}"), w.one(f"{arm}_2_{i}")))
+    return b.graph(), w
 
 
 def claw_feral(c: int, h: int = 6) -> Tuple[Graph, StructureWitness]:
@@ -587,6 +576,9 @@ def subdivide_with_witness(g: Graph, f: int) -> Tuple[Graph, StructureWitness]:
 # witness verification
 # ---------------------------------------------------------------------------
 
+# pieces that must partition V, the exact edge set, and the free pairs g may use
+Design = Tuple[List[Sequence[int]], List[Tuple[int, int]], List[Tuple[int, int]]]
+
 
 def _role(w: StructureWitness, name: str) -> VertexSet:
     if name not in w.role_map:
@@ -603,187 +595,128 @@ def _indexed(w: StructureWitness, prefix: str) -> List[VertexSet]:
     return out
 
 
-def _ck_path(g: Graph, seq: Sequence[int], label: str, out: List[str]) -> None:
-    ok = len(set(seq)) == len(seq)
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            adj = g.has_edge(seq[i], seq[j])
-            if adj != (j == i + 1):
-                ok = False
-    if not ok:
-        out.append(f"{label} is an induced path")
+def _pairs(pairs: Iterable[Tuple[int, int]]) -> Set[Tuple[int, int]]:
+    return {(min(u, v), max(u, v)) for u, v in pairs}
 
 
-def _ck_anti(g: Graph, a: Iterable[int], b: Iterable[int], clause: str, out: List[str]) -> None:
-    sa, sb = set(a), set(b)
-    if sa & sb or any(g.has_edge(u, v) for u in sa for v in sb):
-        out.append(clause)
-
-
-def _ck_cross(
-    g: Graph,
-    a: Iterable[int],
-    b: Iterable[int],
-    allowed: Iterable[Tuple[int, int]],
-    clause: str,
-    out: List[str],
-) -> None:
-    """Adjacency between the two sides holds exactly on the allowed pairs."""
-    ok_pairs = set()
-    for u, v in allowed:
-        ok_pairs.add((u, v))
-        ok_pairs.add((v, u))
-    for u in a:
-        for v in b:
-            if u == v:
-                continue
-            if g.has_edge(u, v) != ((u, v) in ok_pairs):
-                out.append(clause)
-                return
-
-
-def _ck_disjoint(parts: Sequence[Iterable[int]], clause: str, out: List[str]) -> None:
-    seen: set = set()
-    for part in parts:
-        for v in part:
-            if v in seen:
-                out.append(clause)
-                return
-            seen.add(v)
-
-
-def _ck_meets(
-    g: Graph,
-    private: Sequence[Sequence[int]],
-    shared: Sequence[Iterable[int]],
-    cliques: Sequence[Sequence[int]],
-    out: List[str],
-) -> None:
-    """The private parts of the paths are disjoint from each other and from
-    the shared pieces, and parts i and j are adjacent exactly on the pairs
-    (c[i], c[j]) of each clique c."""
-    _ck_disjoint(list(shared) + list(private), "paths share only their common ends", out)
-    for i in range(len(private)):
-        for j in range(i + 1, len(private)):
-            _ck_cross(
-                g,
-                private[i],
-                private[j],
-                [(c[i], c[j]) for c in cliques],
-                "distinct paths meet only along the end cliques",
-                out,
-            )
-
-
-def _ck_edges(g: Graph, expected: Set[Tuple[int, int]], out: List[str]) -> None:
-    """g's edge set is exactly `expected`, given as (min, max) pairs."""
-    actual = {(min(u, v), max(u, v)) for u, v in g.edges()}
-    if actual - expected:
+def _ck_design(g: Graph, design: Design, out: List[str]) -> None:
+    """The pieces partition V, and g has every design edge and, beyond the
+    free pairs, no other."""
+    pieces, edges, free = design
+    if sum(map(len, pieces)) != g.n or mask_of(v for p in pieces for v in p) != g.full_mask():
+        out.append("the pieces partition the vertices")
+    actual, expected = _pairs(g.edges()), _pairs(edges)
+    if actual - expected - _pairs(free):
         out.append("no adjacency outside the construction")
     if expected - actual:
         out.append("every construction edge is present")
 
 
-def _hulls_disjoint(
-    g: Graph, spokes: Sequence[int], path: Sequence[int], side: str, out: List[str]
-) -> None:
-    pos = {v: i for i, v in enumerate(path)}
-    if _hulls_overlap([[pos[u] for u in g.neighbors(s) if u in pos] for s in spokes]):
-        out.append(f"attachment hulls on {side} are pairwise disjoint")
+def _ck_hooks(
+    g: Graph, ends: Sequence[int], backbone: Sequence[int], label: str, name: str, out: List[str]
+) -> List[List[int]]:
+    """The backbone positions each end's free pairs reach in g, one list per
+    end: every end reaches one, in pairwise disjoint hulls."""
+    pos = {v: i for i, v in enumerate(backbone)}
+    attach = [[pos[u] for u in g.neighbors(s) if u in pos] for s in ends]
+    for i, at in enumerate(attach, 1):
+        if not at:
+            out.append(f"{label}_{i} has a neighbor in {name}")
+    if _hulls_overlap(attach):
+        out.append(f"attachment hulls on {name} are pairwise disjoint")
+    return attach
 
 
-def _v_bundle(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str]) -> None:
-    min_k, min_len, a_end, b_end = _BUNDLES[spec.family]
+def _v_bundle(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str]) -> Optional[Design]:
+    min_k, min_len, a_end, b_end = BUNDLES[spec.family]
     ps = _indexed(w, "P")
     k = spec.k or len(ps)
     if len(ps) != k or k < min_k:
         out.append(f"at least {min_k} paths, one P role each")
-        return
+        return None
     if spec.path_lengths is not None and tuple(len(p) for p in ps) != tuple(spec.path_lengths):
         out.append("path lengths match the request")
-    ends, shared, cliques, hooks = [], [], [], []
+    ends, pieces, edges, free = [], [], [], []
     for side, kind, name in (("a", a_end, "L"), ("b", b_end, "R")):
         if kind == _ONE:
             ends.append([w.one(side)] * k)
-            shared.append(ends[-1][:1])
+            pieces.append(ends[-1][:1])
             continue
         ends.append([w.one(f"{side}_{i}") for i in range(1, k + 1)])
         if kind == _CLIQUE:
-            cliques.append(ends[-1])
+            edges += combinations(ends[-1], 2)
         else:
             backbone = _role(w, name)
-            _ck_path(g, backbone, name, out)
-            shared.append(backbone)
-            hooks.append((side, name, backbone, ends[-1]))
-    if len(hooks) == 2:
-        _ck_anti(g, hooks[0][2], hooks[1][2], "L anti-complete R", out)
+            pieces.append(backbone)
+            edges += zip(backbone, backbone[1:])
+            free += product(ends[-1], backbone)
+            _ck_hooks(g, ends[-1], backbone, side, name, out)
     for i, p in enumerate(ps):
         if len(p) < min_len:
             out.append(f"P_{i + 1} has at least {min_len} vertices")
         if not p or p[0] != ends[0][i] or p[-1] != ends[1][i]:
             out.append(f"P_{i + 1} runs from its a-end to its b-end")
-            return
-        _ck_path(g, p, f"P_{i + 1}", out)
-    for side, name, backbone, vs in hooks:
-        for i, p in enumerate(ps):
-            rest = p[1:] if side == "a" else p[:-1]
-            _ck_anti(g, rest, backbone, f"only {side}_{i + 1} on P_{i + 1} has neighbors in {name}", out)
-            if not any(g.has_edge(vs[i], u) for u in backbone):
-                out.append(f"{side}_{i + 1} has a neighbor in {name}")
-        _hulls_disjoint(g, vs, backbone, name, out)
+            return None
+        edges += zip(p, p[1:])
     lo, hi = int(a_end == _ONE), int(b_end == _ONE)
-    _ck_meets(g, [p[lo : len(p) - hi] for p in ps], shared, cliques, out)
+    return pieces + [p[lo : len(p) - hi] for p in ps], edges, free
 
 
-def _v_long(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str], paw: bool) -> None:
-    starts = _role(w, "triangle") if paw else [w.one("v")] * 3
+def _v_node(
+    w: StructureWitness, paw: bool, start: str, arms: Sequence[str], leaves: Sequence[str],
+    length: Optional[int], out: List[str],
+) -> Optional[Design]:
+    """One long claw or paw: the branch vertex or triangle role `start`, and
+    three arm roles, each running from its start to its leaf role on
+    `length` vertices when that is given."""
+    starts = _role(w, start) if paw else [w.one(start)] * 3
+    if len(starts) != 3:
+        out.append(f"{start} has 3 vertices")
+        return None
+    pieces = [starts if paw else starts[:1]]
+    edges = list(combinations(starts, 2)) if paw else []
+    for arm, s, leaf in zip(arms, starts, leaves):
+        p = _role(w, arm)
+        if length is not None and len(p) != length:
+            out.append(f"{arm} has exactly {length} vertices")
+        if not p or p[0] != s or w.one(leaf) != p[-1]:
+            out.append(f"{arm} runs from its branch vertex to the {leaf} leaf")
+            return None
+        pieces.append(p[1:])
+        edges += zip(p, p[1:])
+    return pieces, edges, []
+
+
+def _v_long(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str], paw: bool) -> Optional[Design]:
     ps = _indexed(w, "P")
-    if len(starts) != 3 or len(ps) != 3:
+    if len(ps) != 3:
         out.append("a branch vertex or triangle and three arm paths")
-        return
+        return None
     arm = spec.arm_length if spec.arm_length is not None else (spec.k or len(ps[0]))
-    for i, (p, start, leaf) in enumerate(zip(ps, starts, "abc"), 1):
-        if len(p) != arm:
-            out.append(f"P_{i} has exactly {arm} vertices")
-        if not p or p[0] != start or w.one(leaf) != p[-1]:
-            out.append(f"P_{i} runs from its branch vertex to the {leaf} leaf")
-            return
-        _ck_path(g, p, f"P_{i}", out)
-    if paw:
-        _ck_meets(g, ps, [], [starts], out)
-    else:
-        _ck_meets(g, [p[1:] for p in ps], [starts[:1]], [], out)
+    return _v_node(w, paw, "triangle" if paw else "v", ("P_1", "P_2", "P_3"), "abc", arm, out)
 
 
-def _v_copies(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str], paw: bool) -> None:
+def _v_copies(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str], paw: bool) -> Optional[Design]:
     copies = _indexed(w, "copy")
     k = spec.k or len(copies)
     if len(copies) != k or k < 1:
         out.append("one copy role per component")
-        return
-    sub_spec = FamilySpec("long_paw" if paw else "long_claw", k=k, arm_length=k)
+        return None
+    pieces, edges = [], []
     for i in range(1, k + 1):
-        subw = StructureWitness()
-        names = ("triangle",) if paw else ("v",)
-        for name in names + ("a", "b", "c"):
-            subw.role_map[name] = _role(w, f"{name}_{i}")
-        for j in (1, 2, 3):
-            subw.role_map[f"P_{j}"] = _role(w, f"P_{i}_{j}")
-        before = len(out)
-        _v_long(g, sub_spec, subw, out, paw)
-        if len(out) > before:
-            out[before:] = [f"copy {i}: {msg}" for msg in out[before:]]
-        member = set()
-        for vs in subw.role_map.values():
-            member |= set(vs)
-        if member != set(copies[i - 1]):
+        start = f"triangle_{i}" if paw else f"v_{i}"
+        arms = [f"P_{i}_{j}" for j in (1, 2, 3)]
+        node = _v_node(w, paw, start, arms, [f"{x}_{i}" for x in "abc"], k, out)
+        if node is None:
+            return None
+        if {v for p in node[0] for v in p} != set(copies[i - 1]):
             out.append(f"copy {i} role covers exactly its component")
-    for i in range(k):
-        for j in range(i + 1, k):
-            _ck_anti(g, copies[i], copies[j], "copies are pairwise anti-complete", out)
+        pieces += node[0]
+        edges += node[1]
+    return pieces, edges, []
 
 
-def _v_spokes(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str], skinny: bool) -> None:
+def _v_spokes(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str], skinny: bool) -> Optional[Design]:
     """Almost-skinny: each spoke sees L and R only, in disjoint hulls on
     each.  Skinny adds that L and R have k vertices and each spoke joins
     the same single position on both."""
@@ -792,55 +725,32 @@ def _v_spokes(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str], s
     k = spec.k or len(svs)
     if len(svs) != k or k < 1 or (skinny and not len(L) == len(R) == k):
         out.append("one spoke role per index up to k" + (", L and R of size k" if skinny else ""))
-        return
+        return None
     if set(_role(w, "S")) != set(svs):
         out.append("S lists exactly the spokes")
-    _ck_path(g, L, "L", out)
-    _ck_path(g, R, "R", out)
-    _ck_anti(g, L, R, "L anti-complete R", out)
-    _ck_disjoint([L, R, svs], "pieces are vertex-disjoint", out)
-    lpos = {v: i for i, v in enumerate(L)}
-    rpos = {v: i for i, v in enumerate(R)}
-    for i, s in enumerate(svs, 1):
-        nb = g.neighbors(s)
-        pl = [lpos[u] for u in nb if u in lpos]
-        pr = [rpos[u] for u in nb if u in rpos]
-        if not pl or not pr:
-            out.append(f"s_{i} has neighbors in L and in R")
-        if len(pl) + len(pr) != len(nb):
-            out.append("spokes attach only to L and R")
+    at_l = _ck_hooks(g, svs, L, "s", "L", out)
+    at_r = _ck_hooks(g, svs, R, "s", "R", out)
+    for i, (pl, pr) in enumerate(zip(at_l, at_r), 1):
         if skinny and not (len(pl) == 1 and pl == pr):
             out.append(f"s_{i} joins one matching rung of L and R")
-    _hulls_disjoint(g, svs, L, "L", out)
-    _hulls_disjoint(g, svs, R, "R", out)
+    edges = list(zip(L, L[1:])) + list(zip(R, R[1:]))
+    return [L, R] + [[s] for s in svs], edges, list(product(svs, L + R))
 
 
-def _ck_exact_nbrs(g: Graph, v: int, expect: Iterable[int], clause: str, out: List[str]) -> None:
-    if set(g.neighbors(v)) != set(expect):
-        out.append(clause)
-
-
-def _v_twisted(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str]) -> None:
+def _v_twisted(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str]) -> Optional[Design]:
     L, R = _role(w, "L"), _role(w, "R")
     k = spec.k or (len(L) - 1) // 3
     if not (len(L) == len(R) == 3 * k + 1) or k < 1:
         out.append("L and R are paths on 3k+1 vertices")
-        return
-    _ck_path(g, L, "L", out)
-    _ck_path(g, R, "R", out)
-    _ck_anti(g, L, R, "L anti-complete R", out)
+        return None
     if w.one("x") != L[0] or w.one("y") != R[-1]:
         out.append("x and y are the outer corners")
     spokes = []
+    edges = list(zip(L, L[1:])) + list(zip(R, R[1:]))
     for i in range(1, k + 1):
         a1, b1 = w.one(f"a1_{i}"), w.one(f"b1_{i}")
         spokes += [a1, b1]
-        _ck_exact_nbrs(
-            g, a1, [R[3 * i - 2], R[3 * i], L[3 * i - 2]], f"a1_{i} attaches inside block {i}", out
-        )
-        _ck_exact_nbrs(
-            g, b1, [L[3 * i - 3], L[3 * i - 1], R[3 * i - 1]], f"b1_{i} attaches inside block {i}", out
-        )
+        edges += _twisted_spokes(L, R, i, a1, b1)
         if w.one(f"a2_{i}") != R[3 * i - 1] or w.one(f"b2_{i}") != L[3 * i - 2]:
             out.append(f"a2_{i} and b2_{i} sit on the block's inner rungs")
         blk = set(L[3 * (i - 1) : 3 * i + 1] + R[3 * (i - 1) : 3 * i + 1]) | {a1, b1}
@@ -852,10 +762,10 @@ def _v_twisted(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str]) 
             break
     if set(_role(w, "S")) != set(spokes):
         out.append("S lists exactly the spokes")
-    _ck_disjoint([L, R, spokes], "pieces are vertex-disjoint", out)
+    return [L, R] + [[s] for s in spokes], edges, []
 
 
-def _v_feral(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str], paw: bool) -> None:
+def _v_feral(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str], paw: bool) -> Optional[Design]:
     c = spec.c
     if c is None:
         c = 0
@@ -863,73 +773,55 @@ def _v_feral(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str], pa
             c += 1
     if c < 1:
         out.append("at least one long-" + ("paw" if paw else "claw") + " per tree")
-        return
-    expected = set()
-
-    def want(u: int, v: int) -> None:
-        expected.add((min(u, v), max(u, v)))
-
+        return None
+    pieces, edges = [], []
     for t in (1, 2):
+        tree = []
         for i in range(1, 1 << c):
-            if paw:
-                tri = _role(w, f"triangle_{t}_{i}")
-                if len(tri) != 3:
-                    out.append(f"triangle_{t}_{i} has 3 vertices")
-                    return
-                want(tri[0], tri[1])
-                want(tri[0], tri[2])
-                want(tri[1], tri[2])
-                starts = list(tri)
-            else:
-                starts = [w.one(f"center_{t}_{i}")] * 3
-            for start, arm in zip(starts, "abc"):
-                seq = _role(w, f"arm_{t}_{i}_{arm}")
-                if spec.arm_length is not None and len(seq) != spec.arm_length:
-                    out.append(f"arm_{t}_{i}_{arm} has {spec.arm_length} vertices")
-                if not seq or seq[0] != start or w.one(f"{arm}_{t}_{i}") != seq[-1]:
-                    out.append(f"arm_{t}_{i}_{arm} runs from its branch vertex to the leaf")
-                    return
-                for u, v in zip(seq, seq[1:]):
-                    want(u, v)
+            start = f"triangle_{t}_{i}" if paw else f"center_{t}_{i}"
+            arms = [f"arm_{t}_{i}_{x}" for x in "abc"]
+            node = _v_node(w, paw, start, arms, [f"{x}_{t}_{i}" for x in "abc"], spec.arm_length, out)
+            if node is None:
+                return None
             if i > 1:
-                parent_leaf = "b" if i % 2 == 0 else "c"
-                if w.one(f"a_{t}_{i}") != w.one(f"{parent_leaf}_{t}_{i // 2}"):
+                if w.one(f"a_{t}_{i}") != w.one(f"{'bc'[i % 2]}_{t}_{i // 2}"):
                     out.append(f"the a leaf of node {i} is glued onto node {i // 2}")
+                # that leaf is a piece of the parent
+                node[0][1] = node[0][1][:-1]
+            tree += node[0]
+            edges += node[1]
+        if set(_role(w, f"tree_{t}")) != {v for p in tree for v in p}:
+            out.append(f"tree_{t} covers exactly its nodes")
+        pieces += tree
     for i in range(1 << (c - 1), 1 << c):
         for arm in "bc":
-            want(w.one(f"{arm}_1_{i}"), w.one(f"{arm}_2_{i}"))
-    _ck_edges(g, expected, out)
+            edges.append((w.one(f"{arm}_1_{i}"), w.one(f"{arm}_2_{i}")))
+    return pieces, edges, []
 
 
-def _v_subdivision(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str]) -> None:
-    base = set(_role(w, "base"))
-    f = None
-    internals = []
-    expected = set()
+def _v_subdivision(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str]) -> Optional[Design]:
+    base = _role(w, "base")
+    pieces, edges, f = [base], [], None
     for name, p in sorted(w.role_map.items()):
         if not name.startswith("P_"):
             continue
         _, su, sv = name.split("_")
-        if not p or p[0] != int(su) or p[-1] != int(sv):
+        if not p or p[0] != int(su) or p[-1] != int(sv) or not {p[0], p[-1]} <= set(base):
             out.append(f"{name} runs between its base endpoints")
-            return
+            return None
         if f is None:
             f = len(p) - 2
         if len(p) - 2 != f:
             out.append("every edge is subdivided the same number of times")
-        _ck_path(g, p, name, out)
-        if set(p[1:-1]) & base:
-            out.append("subdivision vertices are new")
-        internals.append(p[1:-1])
-        expected.update((min(u, v), max(u, v)) for u, v in zip(p, p[1:]))
+        pieces.append(p[1:-1])
+        edges += zip(p, p[1:])
     if spec.k and f is not None and f != spec.k:
         out.append("subdivision count matches the request")
-    _ck_disjoint(internals, "subdivision paths are internally disjoint", out)
-    _ck_edges(g, expected, out)
+    return pieces, edges, []
 
 
 _VERIFIERS = {
-    **{fam: _v_bundle for fam in _BUNDLES},
+    **{fam: _v_bundle for fam in BUNDLES},
     "long_claw": lambda g, s, w, o: _v_long(g, s, w, o, paw=False),
     "long_paw": lambda g, s, w, o: _v_long(g, s, w, o, paw=True),
     "claw": lambda g, s, w, o: _v_copies(g, s, w, o, paw=False),
@@ -946,12 +838,16 @@ _VERIFIERS = {
 def verify_witness(
     g: Graph, spec: FamilySpec, w: StructureWitness
 ) -> Tuple[bool, List[str]]:
-    """Clause-by-clause check of a structure witness against its family.
+    """Check a structure witness against its family.
 
-    Returns (ok, violations).  Checks that every vertex lies in some role,
-    then anti-completeness, domination, adjacency-iff and interval clauses
-    over the named roles; role names the family does not define are
-    ignored, missing ones raise.
+    Returns (ok, violations).  Every vertex lies in some role.  The family's
+    verifier checks the roles' counts, lengths, path ends and named
+    positions, and derives from them pieces that must partition V, the exact
+    edge set, and, for the ladder types and spoke ladders, free end-to-
+    backbone or spoke-to-path pairs that g may use.  Those g uses must give
+    each end or spoke a neighbour on its backbone, in pairwise disjoint
+    hulls.  Role names the family does not define are ignored, missing ones
+    raise.
     """
     if spec.family not in FAMILY_NAMES:
         raise ValueError(f"unknown family {spec.family!r}")
@@ -962,7 +858,9 @@ def verify_witness(
     out: List[str] = []
     if mask_of(v for vs in w.role_map.values() for v in vs) != g.full_mask():
         out.append("every vertex lies in some role")
-    _VERIFIERS[spec.family](g, spec, w, out)
+    design = _VERIFIERS[spec.family](g, spec, w, out)
+    if design is not None:
+        _ck_design(g, design, out)
     return (not out), out
 
 
@@ -976,9 +874,9 @@ def generate(spec: FamilySpec) -> Tuple[Graph, StructureWitness]:
     if fam not in FAMILY_NAMES:
         raise ValueError(f"unknown family {fam!r}")
     k = spec.k
-    if fam in _BUNDLES:
-        if _BUNDLES[fam][2] != _PATH:
-            lengths = spec.path_lengths or (_BUNDLES[fam][1],) * k
+    if fam in BUNDLES:
+        if BUNDLES[fam][2] != _PATH:
+            lengths = spec.path_lengths or (BUNDLES[fam][1],) * k
             return _bundle(fam, k or len(lengths), lengths)
         if spec.layout_seed is not None:
             rng = random.Random(spec.layout_seed)

@@ -134,9 +134,6 @@ class Graph:
     def m(self) -> int:
         return self._m
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def neighbors(self, v: int) -> Tuple[int, ...]:
         if self._adj is None:
             self._adj = tuple(set_of(b) for b in self._nbr)

@@ -85,29 +85,23 @@ class SeparatorRecord:
     full_component_list: Tuple[VertexSet, ...]
     witness_pair: Optional[Tuple[int, int]] = None
 
-    def validate(self, g: Graph) -> None:
-        if not self.separator:
-            raise ValueError("separator must be nonempty")
-        smask = mask_of(self.separator)
-        fulls = [set_of(c) for c in _full_component_masks(g, smask)]
-        if len(fulls) < 2:
-            raise ValueError("not a minimal separator: fewer than two full components")
-        if tuple(fulls) != self.full_component_list:
-            raise ValueError("full component list does not match the graph")
-        if self.witness_pair is not None:
-            fault = _uv_separator_fault(g, smask, *self.witness_pair)
-            if fault:
-                raise ValueError(f"witness pair: {fault}")
-
 
 def make_separator_record(
     g: Graph, s: Iterable[int], witness_pair: Optional[Tuple[int, int]] = None
 ) -> SeparatorRecord:
+    """The record of S; raises ValueError unless S is a minimal separator
+    (and a minimal u,v-separator for a given witness pair (u, v))."""
     smask = mask_of(s)
+    if not smask:
+        raise ValueError("separator must be nonempty")
     fulls = tuple(set_of(c) for c in _full_component_masks(g, smask))
-    rec = SeparatorRecord(set_of(smask), fulls, witness_pair)
-    rec.validate(g)
-    return rec
+    if len(fulls) < 2:
+        raise ValueError("not a minimal separator: fewer than two full components")
+    if witness_pair is not None:
+        fault = _uv_separator_fault(g, smask, *witness_pair)
+        if fault:
+            raise ValueError(f"witness pair: {fault}")
+    return SeparatorRecord(set_of(smask), fulls, witness_pair)
 
 
 def _component_of(g: Graph, v: int, smask: int) -> Optional[int]:
@@ -140,7 +134,7 @@ def _uv_separator_fault(g: Graph, smask: int, u: int, v: int) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 
-def _min_sep_masks_in(nbr: Sequence[int], wmask: int) -> Set[int]:
+def _min_sep_masks_in(nbr: Sequence[int], wmask: int, budget: Optional[int] = None) -> Set[int]:
     """All minimal separator masks of the graph induced on wmask, by brute
     force over its connected vertex sets.
 
@@ -150,16 +144,20 @@ def _min_sep_masks_in(nbr: Sequence[int], wmask: int) -> Set[int]:
     So S is a minimal separator of G[W] exactly when two distinct connected
     sets have neighbourhood S in G[W].  connected_sets yields each connected
     set once, so the second sighting of S is a second set.  Memory: one int
-    per distinct N_W(C), the separators among them.
+    per distinct N_W(C), the separators among them.  Visiting more than
+    `budget` connected sets raises BudgetExhausted.
     """
     seen: Set[int] = set()
     found: Set[int] = set()
-    for c, reach in connected_sets(nbr, wmask, wmask):
+    sets = connected_sets(nbr, wmask, wmask)
+    for c, reach in itertools.islice(sets, budget):
         s = reach & wmask & ~c
         if s in seen:
             found.add(s)
         else:
             seen.add(s)
+    if next(sets, None) is not None:
+        raise BudgetExhausted(f"oracle enumeration has more than {budget} connected sets to visit")
     found.discard(0)
     return found
 
@@ -167,15 +165,11 @@ def _min_sep_masks_in(nbr: Sequence[int], wmask: int) -> Set[int]:
 def enumerate_oracle(g: Graph, *, budget: int = 2_000_000) -> List[VertexSet]:
     """Every minimal separator, found by visiting every connected vertex set.
 
-    The budget counts connected sets visited.  There are at most 2^n - 1,
-    so a graph whose 2^n - 1 exceeds the budget is refused up front with
-    BudgetExhausted, whatever its edges.  Output sorted lexicographically.
+    The budget counts connected sets visited, at most 2^n - 1 and n(n+1)/2
+    on a path; a graph with more connected sets than the budget raises
+    BudgetExhausted.  Output sorted lexicographically.
     """
-    if (1 << g.n) - 1 > budget:
-        raise BudgetExhausted(
-            f"oracle enumeration may visit 2^{g.n} - 1 connected sets, over the budget of {budget}"
-        )
-    return sorted(set_of(m) for m in _min_sep_masks_in(g._nbr, g.full_mask()))
+    return sorted(set_of(m) for m in _min_sep_masks_in(g._nbr, g.full_mask(), budget))
 
 
 # ---------------------------------------------------------------------------

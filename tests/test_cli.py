@@ -115,8 +115,11 @@ def test_enum_branching_budget_bounds_the_run(tmp_path, capsys):
 
 def test_enum_oracle_over_budget_is_incomplete_not_an_error(tmp_path, capsys):
     p21 = write(tmp_path, "p21.el", format_edge_list(Graph(21, [(i, i + 1) for i in range(20)])))
-    doc = run_json(capsys, "enum", p21, "--algo", "oracle")
-    assert doc["complete"] is False and doc["config"]["budget"] == 2_000_000
+    # path(21) has 231 connected sets
+    doc = run_json(capsys, "enum", p21, "--algo", "oracle", "--budget", "230")
+    assert doc["complete"] is False and doc["config"]["budget"] == 230
+    doc = run_json(capsys, "enum", p21, "--algo", "oracle", "--budget", "231")
+    assert doc["complete"] is True and len(doc["results"]["separators"]) == 19
     p4 = write(tmp_path, "p4.el", "4 3\n0 1\n1 2\n2 3\n")
     doc = run_json(capsys, "enum", p4, "--algo", "oracle", "--budget", "5")
     assert doc["complete"] is False and doc["config"]["budget"] == 5

@@ -6,6 +6,7 @@ import pytest
 from sepscope.families import (
     FAMILY_NAMES,
     FamilySpec,
+    StructureWitness,
     almost_skinny_ladder,
     claw,
     claw_feral,
@@ -260,6 +261,39 @@ def test_verifiers_reject_a_vertex_outside_every_role():
         assert not ok and "every vertex lies in some role" in bad, spec.family
 
 
+def test_verifiers_reject_roles_that_do_not_partition_the_graph():
+    # an isolated vertex held only by a role the family does not define
+    for spec in _mutation_specs():
+        g, w = generate(spec)
+        extra = Graph(g.n + 1, g.edges())
+        ok, bad = verify_witness(extra, spec, StructureWitness({**w.role_map, "extra": (g.n,)}))
+        assert not ok and "the pieces partition the vertices" in bad, spec.family
+    g, w = claw_feral(1, 3)
+    moved = w.role_map["tree_2"][0]
+    roles = StructureWitness(
+        {**w.role_map, "tree_1": w.role_map["tree_1"] + (moved,), "tree_2": w.role_map["tree_2"][1:]}
+    )
+    assert not verify_witness(g, spec_for("claw_feral", c=1, arm_length=3), roles)[0]
+    tri = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    g, w = subdivide_with_witness(tri, 1)
+    inner = w.role_map["P_0_1"][1]
+    for base in ((0, 1, inner), (0, 1, 2, inner)):
+        roles = StructureWitness({**w.role_map, "base": base})
+        assert not verify_witness(g, spec_for("subdivision", k=1), roles)[0], base
+    # the edges match, but P_0_1 revisits 0, which is not in base
+    w = StructureWitness({"base": (1, 3), "P_0_1": (0, 2, 0, 1)})
+    assert not verify_witness(Graph(4, [(0, 1), (0, 2)]), spec_for("subdivision", k=2), w)[0]
+
+
+def test_ladder_ends_and_spokes_need_a_backbone_neighbour():
+    for spec in (spec_for("ladder", k=2), spec_for("almost_skinny_ladder", k=3, layout_seed=5)):
+        g, w = generate(spec)
+        end = w.one("a_1" if spec.family == "ladder" else "s_1")
+        hooks = {(min(end, x), max(end, x)) for x in w.role_map["L"]}
+        ok, bad = verify_witness(Graph(g.n, set(g.edges()) - hooks), spec, w)
+        assert not ok and any(msg.endswith("has a neighbor in L") for msg in bad), spec.family
+
+
 def _mutation_specs():
     base = Graph(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
     specs = [
@@ -311,6 +345,47 @@ def test_verifiers_reject_every_single_edge_toggle():
                 if verify_witness(mutant, spec, w)[0]:
                     accepted.append((spec.family, spec.k, (u, v)))
     assert not accepted
+
+
+def _role_mutants_accepted():
+    """Per family, how many of 600 seeded role mutants per spec verify_witness
+    accepts: each mutant replaces one vertex of one role, or swaps two
+    vertices in every role, leaving the graph as it is."""
+    accepted = {}
+    for si, spec in enumerate(_mutation_specs()):
+        g, w = generate(spec)
+        rng = random.Random(20 + si)
+        names = sorted(w.role_map)
+        count = accepted.setdefault(spec.family, 0)
+        for _ in range(300):
+            name = rng.choice(names)
+            vs = list(w.role_map[name])
+            j = rng.randrange(len(vs))
+            vs[j] = (vs[j] + rng.randrange(1, g.n)) % g.n
+            count += verify_witness(g, spec, StructureWitness({**w.role_map, name: tuple(vs)}))[0]
+            a, b = rng.sample(range(g.n), 2)
+            swap = {a: b, b: a}
+            roles = {r: tuple(swap.get(v, v) for v in role) for r, role in w.role_map.items()}
+            count += verify_witness(g, spec, StructureWitness(roles))[0]
+        accepted[spec.family] = count
+    return accepted
+
+
+# upper bounds, measured on the earlier clause-by-clause verifiers: a
+# verifier may grow stricter, never looser
+ROLE_MUTANTS_ACCEPTED = {
+    "theta": 0, "prism": 0, "pyramid": 0, "ladder_theta": 10, "ladder_prism": 7, "ladder": 12,
+    "claw": 57, "paw": 0, "long_claw": 0, "long_paw": 0, "skinny_ladder": 16,
+    "almost_skinny_ladder": 1, "twisted_ladder": 0, "claw_feral": 41, "paw_feral": 34,
+    "subdivision": 88,
+}
+
+
+def test_verifiers_accept_no_more_role_mutants_than_pinned():
+    accepted = _role_mutants_accepted()
+    assert set(accepted) == set(ROLE_MUTANTS_ACCEPTED)
+    looser = {f: n for f, n in accepted.items() if n > ROLE_MUTANTS_ACCEPTED[f]}
+    assert not looser, (looser, ROLE_MUTANTS_ACCEPTED)
 
 
 def _pin_cases():

@@ -1,8 +1,8 @@
 """Static checks over the source tree.
 
-No imported name goes unused; src/ defines no exception class beyond the
-three the package needs, and every exponential route names its bound
-`budget`.
+No imported name goes unused, and no private module-level function in src/
+goes unread by its module; src/ defines no exception class beyond the three
+the package needs, and every exponential route names its bound `budget`.
 """
 
 import ast
@@ -41,6 +41,39 @@ def test_no_unused_imports():
             for line, name in unused_imports(path.read_text()):
                 found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def unread_private_functions(source: str):
+    """Module-level `_private` functions whose name the module never reads."""
+    tree = ast.parse(source)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [
+        (node.lineno, node.name) for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_") and not node.name.startswith("__") and node.name not in read
+    ]
+
+
+def test_unread_private_functions_helper_sees_only_unread_private_defs():
+    src = (
+        "def _dead(): pass\n"
+        "def _called(): pass\n"
+        "def _stored(): pass\n"
+        "def public(): return _called()\n"
+        "TABLE = {'x': _stored}\n"
+        "def __getattr__(name): pass\n"
+        "class C:\n"
+        "    def _method(self): pass\n"
+    )
+    assert unread_private_functions(src) == [(1, "_dead")]
+
+
+def test_no_unread_private_functions():
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for line, name in unread_private_functions(path.read_text()):
+            found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
+    assert not found, "private functions nothing reads:\n" + "\n".join(found)
 
 
 EXCEPTIONS = {"GraphError", "BudgetExhausted", "CliError"}

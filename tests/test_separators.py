@@ -65,8 +65,10 @@ def test_oracle_disconnected_has_no_empty_separator():
 
 
 def test_oracle_cap():
+    # the budget counts the 210 subpaths visited, not the 2^20 - 1 subsets
+    assert len(enumerate_oracle(path(20), budget=210)) == 18
     with pytest.raises(BudgetExhausted):
-        enumerate_oracle(path(20), budget=1 << 16)
+        enumerate_oracle(path(20), budget=209)
 
 
 def test_oracle_matches_subsets_on_every_class_n7():
@@ -298,9 +300,9 @@ def test_branching_small_k_is_still_sound():
 
 def test_budgets_of_the_separator_routes():
     g = cycle(8)  # 20 minimal separators, the non-adjacent pairs
-    assert len(enumerate_oracle(g, budget=255)) == 20
+    assert len(enumerate_oracle(g, budget=57)) == 20
     with pytest.raises(BudgetExhausted):
-        enumerate_oracle(g, budget=254)
+        enumerate_oracle(g, budget=56)
     assert len(enumerate_closure(g, budget=20)) == 20
     with pytest.raises(BudgetExhausted):
         enumerate_closure(g, budget=19)
