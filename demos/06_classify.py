@@ -21,7 +21,7 @@ def show(name, members):
         if ev.get("forbidden") is False:
             print(f"  avoider: {ev['instance']} with n={ev['n']}")
         elif "instances_checked" in ev:
-            print(f"  {t:13s} forbidden, {ev['instances_checked']} representatives checked")
+            print(f"  {t:13s} forbidden from k = {ev['k']}, {ev['instances_checked']} instances checked")
         else:
             print(f"  {t:13s} {ev}")
     print()

@@ -8,30 +8,45 @@ exponentially many minimal separators).  With a complete member forbidding
 large cliques, blocking theta, ladder-theta, claw, and paw upgrades the
 verdict to tame.
 
-The "every k-theta" quantifier ranges over infinitely many graphs.  Two
-finitizations make it checkable at desk scale:
+The "every k-theta" quantifier ranges over infinitely many graphs.  For
+members on at most h vertices, with m = max(h, 3), five of the seven types
+are decided for every k by a few uniform instances:
 
-* plain paths are capped at h + 2 vertices: any longer instance shrinks to
-  one within the cap without creating a forbidden subgraph on at most h
-  vertices (path_length_cap holds the proof, reduce_degree_two_paths cuts);
-* ladder attachment layouts are checked on the canonical layout plus a
-  seeded random sample, and the verdict is labelled "canonical+sampled".
+(a) An embedding of a member touches at most h of a theta, prism or
+    pyramid's paths (each path with its clique end, if any).  The touched
+    paths, topped up to m, form with the ends an m-path sub-bundle, which
+    is an induced subgraph.  So for k >= m a bundle contains a member
+    exactly when one of its m-path sub-bundles does, and a bundle of fewer
+    paths is itself induced in a larger one.
+(b) Lengths run over lo..max(lo, h + 2), lo the type's least length:
+    path_length_cap shrinks any longer path to that length one contraction
+    at a time without creating a member.  (At h = 1 the cap h + 2 = 3 is
+    below theta's lo = 4; the only member is then the 1-vertex graph, which
+    every instance contains.)  With R such lengths, a bundle on
+    k >= R(m - 1) + 1 paths repeats some length L m times, and its paths of
+    length L form the uniform bundle L^m.  So if every L^m contains a
+    member, every bundle on at least R(m - 1) + 1 paths does.  If some L^m
+    avoids every member, then by (a) L^k does for every k, a feral
+    certificate that holds at every k.
+(c) A connected member component on at most h vertices that embeds in a
+    long claw is a path or a subdivided claw, and fits in one long claw of
+    arm h; claw(m) holds m >= h anti-complete copies, one per component.
+    So claw(k) for k >= m contains a member exactly when claw(m) does, and
+    claw(k) is induced in claw(m) for k <= m.  The same holds for paw, whose
+    connected induced subgraphs are paths and triangles with pendant paths.
+    The bound is m, which is R(m - 1) + 1 with the one instance R = 1.
+
+Ladder attachment layouts are not finitized yet: ladder_theta and
+ladder_prism are checked on the canonical layout plus a seeded random sample
+at k = 3..k_max, labelled "canonical+sampled", and stop at the first k whose
+instances all contain a member.  A (k + 1)-layout contains k-layouts, so the
+rows are monotone in k.
 
 The feral direction never relies on sampling: it returns one concrete
 instance that avoids every member, checked exhaustively.
-
-classify evaluates a type only while it can change the verdict.  A row
-k < k_max counts only when all seven types are forbidden, so it stops at
-its first type that is not; the k_max row stops at its first avoider, which
-is then the whole feral evidence, and runs to the end otherwise.  Skipped
-types draw nothing from a shared random state (every sweep seeds its own),
-so the verdict, evidence and caps are those of evaluating every row in
-full.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
-from math import comb
 import random
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -47,7 +62,7 @@ from .families import (
     sampled_ladder_instance,
     theta,
 )
-from .graphs import BudgetExhausted, Graph, bits, flood, mask_of
+from .graphs import Graph, bits, flood, mask_of
 
 QUASI_TAME_TYPES = (
     "theta",
@@ -62,12 +77,8 @@ QUASI_TAME_TYPES = (
 # the tame criterion drops the prism-like types and adds cliques
 TAME_TYPES = ("clique", "theta", "ladder_theta", "claw", "paw")
 
-# sampled layouts per ladder type and k, and the most length multisets a
-# theta/prism/pyramid sweep may build; both are reported under `caps`.  No
-# default sweep reaches MAX_INSTANCES for h <= 8 (prism at k = 6, h = 8
-# builds C(14, 6) = 3,003); members on 14+ vertices or k_max 10 at h = 8 do.
+# sampled layouts per ladder type and k, reported under `caps`
 SAMPLE = 64
-MAX_INSTANCES = 30000
 
 
 @dataclass(frozen=True)
@@ -102,7 +113,7 @@ class ClassificationVerdict:
 
 
 def path_length_cap(h: int) -> int:
-    """The longest plain path a sweep or a reduction keeps: h + 2 vertices.
+    """The longest plain path an instance or a reduction keeps: h + 2 vertices.
 
     Lengths count path vertices, ends included.  Contract one interior edge
     of a path whose m >= h + 1 interior vertices all have degree 2.  A set S
@@ -114,7 +125,8 @@ def path_length_cap(h: int) -> int:
     member" is preserved downward.  A run that closes a cycle (pure cycle,
     hub loop, adjacent anchors) keeps more than h vertices at this length,
     so S misses one.  Theta, prism and pyramid paths (k >= 3) have degree-2
-    interiors, so sweeping lengths up to the cap covers every length.
+    interiors, so lengths up to the cap, or up to the type's least length
+    when that is larger, cover every length.
     """
     return h + 2
 
@@ -186,29 +198,20 @@ def _contains_member(
     return None, capped
 
 
-def _representatives(family_type, k, h, seed):
-    """Yield (graph, description) for every checked representative.
+def _instances(family_type, k, h, seed):
+    """Yield (graph, description) for every instance checked at k.
 
-    Raises BudgetExhausted, after the all-minimum instance, when a length
-    sweep would build more than MAX_INSTANCES graphs.
+    Theta, prism and pyramid give their uniform bundles, one per length from
+    the type's least length to the larger of it and path_length_cap(h); the
+    ladder types their canonical layout and SAMPLE seeded ones; claw and paw
+    their one instance.
     """
     if family_type in ("theta", "prism", "pyramid"):
         maker = {"theta": theta, "prism": prism, "pyramid": pyramid}[family_type]
         lo = BUNDLES[family_type][1]
-        # all-minimum lengths first: a cheap avoidance probe before the
-        # budget gate, so feral certificates never pay for the full sweep
-        g, _ = maker((lo,) * k)
-        yield g, f"{family_type}(k={k}, lengths={[lo] * k})"
-        top = path_length_cap(h)
-        total = comb(top - lo + k, k)
-        if total > MAX_INSTANCES:
-            raise BudgetExhausted(f"{family_type} at k={k}, cap={top}: {total} length multisets "
-                                  f"exceed the {MAX_INSTANCES} instance cap")
-        for lengths in combinations_with_replacement(range(lo, top + 1), k):
-            if all(l == lo for l in lengths):
-                continue
-            g, _ = maker(lengths)
-            yield g, f"{family_type}(k={k}, lengths={list(lengths)})"
+        for length in range(lo, max(lo, path_length_cap(h)) + 1):
+            g, _ = maker((length,) * k)
+            yield g, f"{family_type}(k={k}, lengths={[length] * k})"
         return
     if family_type in ("ladder_theta", "ladder_prism"):
         maker = ladder_theta if family_type == "ladder_theta" else ladder_prism
@@ -233,60 +236,60 @@ def _representatives(family_type, k, h, seed):
 def forbids_family_type(
     hh: ForbiddenFamily,
     family_type: str,
-    k: int,
+    k_max: int = 6,
     seed: int = 1,
     *,
     budget: int = 10_000_000,
 ) -> Tuple[Optional[bool], dict]:
-    """Does every representative of family_type contain a member of hh?
+    """Does every instance of family_type from some k on contain a member of hh?
 
-    Theta, prism and pyramid paths take every length up to path_length_cap.
+    Theta, prism, pyramid, claw and paw are decided for every k from their
+    uniform instances at m = max(h, 3), by the argument in the module
+    docstring: True comes with the proven bound R(m - 1) + 1 as `k`, R the
+    number of uniform instances (m for claw and paw), and False with a
+    uniform avoider, which avoids at every k.  The ladder types scan
+    k = 3..k_max and stop at the first k whose canonical and sampled
+    layouts all contain a member; without one, their evidence is the k_max
+    row's.
 
     True comes with an embedding certificate (which members carried the
-    sweep, how many instances were checked, and whether layouts were
+    check, how many instances were checked, and whether layouts were
     exhaustive or canonical+sampled).  False comes with one concrete
-    representative that avoids every member, checked exhaustively.  None
-    comes with an `error` when the sweep exceeds MAX_INSTANCES or a member
-    search exhausts its budget (search nodes per member and instance)
-    before any avoider is certified.
+    instance that avoids every member, checked exhaustively.  None comes
+    with an `error` when a member search exhausts its budget (search nodes
+    per member and instance) before any avoider is certified.
     """
     if family_type not in QUASI_TAME_TYPES:
         raise ValueError(f"family type must be one of {QUASI_TAME_TYPES}")
-    exhaustive_layouts = family_type in ("theta", "prism", "pyramid", "claw", "paw")
-    mode = "exhaustive" if exhaustive_layouts else "canonical+sampled"
+    if k_max < 3:
+        raise ValueError("k_max must be at least 3")
+    ladder = family_type in ("ladder_theta", "ladder_prism")
+    m = max(hh.h, 3)
     used: Dict[int, int] = {}
     checked = 0
     # smallest members first
     order = sorted(range(len(hh.members)), key=lambda i: hh.members[i].n)
-    try:
-        for g, desc in _representatives(family_type, k, hh.h, seed):
+    for k in range(3, k_max + 1) if ladder else (m,):
+        ok = True
+        for g, desc in _instances(family_type, k, hh.h, seed):
             checked += 1
             idx, capped = _contains_member(g, hh, order, budget)
             if idx is None:
-                if capped:
-                    raise BudgetExhausted(
-                        f"{family_type} at k={k}: member search on {desc} hit its budget"
-                    )
-                return False, {
-                    "forbidden": False,
-                    "family_type": family_type,
-                    "k": k,
-                    "mode": mode,
-                    "instance": desc,
-                    "n": g.n,
-                    "edges": [list(e) for e in g.edges()],
-                }
+                ok = None if capped else False
+                break
             used[idx] = used.get(idx, 0) + 1
-    except BudgetExhausted as exc:
-        return None, {"forbidden": None, "family_type": family_type, "k": k, "error": str(exc)}
-    return True, {
-        "forbidden": True,
-        "family_type": family_type,
-        "k": k,
-        "mode": mode,
-        "instances_checked": checked,
-        "members_used": sorted(used),
-    }
+        if ok:
+            break
+    if ok and not ladder:
+        k = checked * (m - 1) + 1  # all R = checked uniform instances carry a member
+    head = {"forbidden": ok, "family_type": family_type, "k": k}
+    if ok is None:
+        return None, {**head, "error": f"{family_type} at k={k}: member search on {desc} hit its budget"}
+    mode = "canonical+sampled" if ladder else "exhaustive"
+    if ok is False:
+        return False, {**head, "mode": mode, "instance": desc, "n": g.n,
+                       "edges": [list(e) for e in g.edges()]}
+    return True, {**head, "mode": mode, "instances_checked": checked, "members_used": sorted(used)}
 
 
 def classify(
@@ -296,52 +299,33 @@ def classify(
     *,
     budget: int = 10_000_000,
 ) -> ClassificationVerdict:
-    """Scan k = 3..k_max for a witness that hh forbids all seven types.
+    """Check the seven types in QUASI_TAME_TYPES order, one forbids_family_type each.
 
-    Hit: strongly_quasi_tame at the smallest such k; additionally tame when a
-    complete member blocks large cliques (the remaining tame types are among
-    the seven already certified).  Miss at k_max with a concrete avoiding
-    representative: feral with that instance as evidence.  Otherwise
-    inconclusive (budget gaps), with the whole k_max row as evidence.  The
-    budget counts search nodes per member-containment test.
-
-    Types are evaluated in QUASI_TAME_TYPES order.  A row below k_max stops
-    at its first type that is not forbidden, since it can then no longer be
-    the certificate; the k_max row stops at its first avoider, the first one
-    the full row would report.  Each sweep seeds its own random layouts, so
-    the skipped types change no draw of the ones that run, and the verdict
-    is that of evaluating every type at every k.
+    The first avoider makes hh feral, with that instance as the whole
+    evidence and its k as k_certificate.  Otherwise a type whose member
+    search ran out of budget makes it inconclusive, with every type's entry
+    as evidence.  Otherwise hh is strongly_quasi_tame at the largest of the
+    types' k, proven for the five uniform types and the first forbidden k
+    of the sampled ladder rows; additionally tame when a complete member
+    blocks large cliques (the remaining tame types are among the seven).
+    k_max bounds only the ladder scan, and must be at least 3.  The budget
+    counts search nodes per member-containment test.
     """
-    if k_max < 3:
-        raise ValueError("k_max must be at least 3")
-    caps = {"k_max": k_max, "length_cap": path_length_cap(hh.h), "sample": SAMPLE,
-            "max_instances": MAX_INSTANCES, "h": hh.h}
-
-    final_row: Dict[str, dict] = {}
-    for k in range(3, k_max + 1):
-        row: Dict[str, dict] = {}
-        all_forbidden = True
-        for t in QUASI_TAME_TYPES:
-            ok, ev = forbids_family_type(hh, t, k, seed=seed, budget=budget)
-            row[t] = ev
-            if ok is not True:
-                all_forbidden = False
-                # a row below k_max is discarded; at k_max the first avoider is the evidence
-                if k < k_max or ok is False:
-                    break
-        final_row = row
-        if all_forbidden:
-            complete_sizes = [m.n for m in hh.members if _is_complete(m)]
-            if complete_sizes:
-                row["clique"] = {
-                    "forbidden": True,
-                    "family_type": "clique",
-                    "complete_member_size": min(complete_sizes),
-                }
-                return ClassificationVerdict("tame", k, row, caps)
-            return ClassificationVerdict("strongly_quasi_tame", k, row, caps)
+    caps = {"k_max": k_max, "length_cap": path_length_cap(hh.h), "sample": SAMPLE, "h": hh.h}
+    row: Dict[str, dict] = {}
     for t in QUASI_TAME_TYPES:
-        ev = final_row.get(t, {})
-        if ev.get("forbidden") is False:
-            return ClassificationVerdict("feral", k_max, {t: ev}, caps)
-    return ClassificationVerdict("inconclusive", 0, final_row, caps)
+        ok, row[t] = forbids_family_type(hh, t, k_max, seed, budget=budget)
+        if ok is False:
+            return ClassificationVerdict("feral", row[t]["k"], {t: row[t]}, caps)
+    if any(ev["forbidden"] is None for ev in row.values()):
+        return ClassificationVerdict("inconclusive", 0, row, caps)
+    k = max(ev["k"] for ev in row.values())
+    complete_sizes = [m.n for m in hh.members if _is_complete(m)]
+    if complete_sizes:
+        row["clique"] = {
+            "forbidden": True,
+            "family_type": "clique",
+            "complete_member_size": min(complete_sizes),
+        }
+        return ClassificationVerdict("tame", k, row, caps)
+    return ClassificationVerdict("strongly_quasi_tame", k, row, caps)

@@ -412,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="tame/feral verdict for a directory of graphs")
     p.add_argument("dir")
-    p.add_argument("--kmax", type=int, default=6)
+    p.add_argument("--kmax", type=int, default=6, help="largest k of the sampled ladder scan")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--budget", type=int)
     common(p)

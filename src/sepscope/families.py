@@ -800,8 +800,10 @@ def _v_feral(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str], pa
 
 
 def _v_subdivision(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str]) -> Optional[Design]:
+    """Base vertex i of spec.base_graph, when given, is the i-th vertex of
+    the base role, and the P_u_v roles are exactly its edges."""
     base = _role(w, "base")
-    pieces, edges, f = [base], [], None
+    pieces, edges, f, named = [base], [], None, []
     for name, p in sorted(w.role_map.items()):
         if not name.startswith("P_"):
             continue
@@ -809,6 +811,7 @@ def _v_subdivision(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[st
         if not p or p[0] != int(su) or p[-1] != int(sv) or not {p[0], p[-1]} <= set(base):
             out.append(f"{name} runs between its base endpoints")
             return None
+        named.append((min(p[0], p[-1]), max(p[0], p[-1])))
         if f is None:
             f = len(p) - 2
         if len(p) - 2 != f:
@@ -817,6 +820,12 @@ def _v_subdivision(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[st
         edges += zip(p, p[1:])
     if spec.k and f is not None and f != spec.k:
         out.append("subdivision count matches the request")
+    bg = spec.base_graph
+    if bg is not None:
+        if len(base) != bg.n:
+            out.append("the base role has one vertex per base graph vertex")
+        elif sorted(named) != sorted(_pairs((base[u], base[v]) for u, v in bg.edges())):
+            out.append("the P roles are the base graph's edges")
     return pieces, edges, []
 
 

@@ -3,7 +3,8 @@
 import itertools
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from sepscope import classifier
+from sepscope import classifier, families
+from sepscope.detectors import FOUND, UNKNOWN, find_induced_subgraph
 from sepscope.graphs import BudgetExhausted, Graph, bits, contract_edge, mask_of, set_of
 from sepscope.separators import BranchResult, _closure_masks, _is_min_sep_in, is_minimal_separator
 
@@ -65,42 +66,29 @@ def canonical_form(g: Graph) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
     return (n, tuple(sorted(edges)))
 
 
-def classify_every_row(
-    hh: classifier.ForbiddenFamily,
-    k_max: int = 6,
-    seed: int = 1,
-    *,
-    budget: int = 10_000_000,
-) -> classifier.ClassificationVerdict:
-    """classify without its short-circuit: all seven types at every k.
+def forbids_by_length_sweep(
+    hh: classifier.ForbiddenFamily, family_type: str, k: int, *, budget: int = 10_000_000
+) -> Optional[bool]:
+    """Does every k-instance of family_type contain a member of hh?
 
-    The smallest k whose row is all forbidden certifies (tame with a
-    complete member, else strongly quasi-tame); otherwise the first avoider
-    of the k_max row is the feral evidence, and with none the verdict is
-    inconclusive with the whole k_max row.
+    The fixed-k reference for the uniform types: theta, prism and pyramid
+    are checked on every multiset of k path lengths from the type's least
+    length to the larger of it and path_length_cap(h), claw and paw on
+    claw(k) and paw(k).  None when a member search runs out of budget
+    before an avoider is found.
     """
-    caps = {"k_max": k_max, "length_cap": classifier.path_length_cap(hh.h),
-            "sample": classifier.SAMPLE, "max_instances": classifier.MAX_INSTANCES,
-            "h": hh.h}
-    row: Dict[str, dict] = {}
-    for k in range(3, k_max + 1):
-        row = {}
-        oks = []
-        for t in classifier.QUASI_TAME_TYPES:
-            ok, row[t] = classifier.forbids_family_type(hh, t, k, seed=seed, budget=budget)
-            oks.append(ok)
-        if all(ok is True for ok in oks):
-            complete = [m.n for m in hh.members
-                        if m.m == m.n * (m.n - 1) // 2]
-            if complete:
-                row["clique"] = {"forbidden": True, "family_type": "clique",
-                                 "complete_member_size": min(complete)}
-                return classifier.ClassificationVerdict("tame", k, row, caps)
-            return classifier.ClassificationVerdict("strongly_quasi_tame", k, row, caps)
-    for t, ev in row.items():
-        if ev["forbidden"] is False:
-            return classifier.ClassificationVerdict("feral", k_max, {t: ev}, caps)
-    return classifier.ClassificationVerdict("inconclusive", 0, row, caps)
+    maker = getattr(families, family_type)
+    if family_type in ("claw", "paw"):
+        graphs: Iterable[Graph] = [maker(k)[0]]
+    else:
+        lo = families.BUNDLES[family_type][1]
+        top = max(lo, classifier.path_length_cap(hh.h))
+        graphs = (maker(ls)[0] for ls in itertools.combinations_with_replacement(range(lo, top + 1), k))
+    for g in graphs:
+        verdicts = {find_induced_subgraph(g, m, budget=budget).status for m in hh.members}
+        if FOUND not in verdicts:
+            return None if UNKNOWN in verdicts else False
+    return True
 
 
 def _degree_two_runs(g: Graph) -> List[List[int]]:

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import canonical_form, classify_every_row, reduce_by_edge_rounds
+from oracles import canonical_form, forbids_by_length_sweep, reduce_by_edge_rounds
 from sepscope import classifier
 from sepscope.classifier import (
     QUASI_TAME_TYPES,
@@ -17,7 +17,7 @@ from sepscope.classifier import (
 )
 from sepscope.corpus import erdos_renyi, nonisomorphic_graphs
 from sepscope.detectors import ABSENT, FOUND, find_induced_subgraph
-from sepscope.families import subdivide, theta
+from sepscope.families import prism, pyramid, subdivide, theta
 from sepscope.graphs import Graph, are_isomorphic
 
 
@@ -71,23 +71,26 @@ def test_forbids_is_false_for_triangle_family_with_certificate():
     assert find_induced_subgraph(inst, K3).status == ABSENT
 
 
-def test_representative_budget_raises():
-    # h = 38 gives cap 40: C(42, 6) = 5,245,786 theta length multisets
-    # exceed MAX_INSTANCES
-    ok, ev = forbids_family_type(ForbiddenFamily((P3,), h=38), "theta", 6)
-    assert ok is None
+def test_theta_for_p3_at_h_38_takes_one_instance_per_length():
+    # lengths 4..40 give R = 37 uniform thetas on m = 38 paths, and the
+    # bound R(m - 1) + 1
+    ok, ev = forbids_family_type(ForbiddenFamily((P3,), h=38), "theta")
+    assert ok is True
     assert ev == {
-        "forbidden": None,
+        "forbidden": True,
         "family_type": "theta",
-        "k": 6,
-        "error": "theta at k=6, cap=40: 5245786 length multisets exceed the 30000 instance cap",
+        "k": 37 * 37 + 1,
+        "mode": "exhaustive",
+        "instances_checked": 37,
+        "members_used": [0],
     }
 
 
 def test_classify_p3_is_strongly_quasi_tame():
     verdict = classify(ForbiddenFamily((P3,)))
     assert verdict.status == "strongly_quasi_tame"
-    assert verdict.k_certificate == 3
+    # prism's lengths 2..5 give the largest bound, 4 * (3 - 1) + 1
+    assert verdict.k_certificate == 9
     assert set(verdict.evidence) == set(QUASI_TAME_TYPES)
     assert all(ev["forbidden"] for ev in verdict.evidence.values())
 
@@ -115,13 +118,20 @@ def test_classify_rejects_small_kmax():
     ((CLAW,), {}, "feral"),  # theta forbidden, prism avoided
     ((P3,), {}, "strongly_quasi_tame"),
     ((K3, CLAW), {}, "tame"),
-    ((P3,), {"budget": 2}, "inconclusive"),  # seven `error` entries at k_max
+    ((P3,), {"budget": 2}, "inconclusive"),  # an `error` entry for each type
 ])
 def test_classify_matches_every_row_evaluation(members, kwargs, status):
+    # the verdict is that of evaluating all seven types: the first avoider,
+    # or else the whole row
     hh = ForbiddenFamily(members)
     verdict = classify(hh, **kwargs)
     assert verdict.status == status
-    assert verdict.as_dict() == classify_every_row(hh, **kwargs).as_dict()
+    row = {t: forbids_family_type(hh, t, **kwargs)[1] for t in QUASI_TAME_TYPES}
+    avoided = [t for t, ev in row.items() if ev["forbidden"] is False]
+    if avoided:
+        assert verdict.evidence == {avoided[0]: row[avoided[0]]}
+    else:
+        assert {t: verdict.evidence[t] for t in QUASI_TAME_TYPES} == row
 
 
 def test_classify_k3_stops_each_row_at_theta(monkeypatch):
@@ -134,7 +144,7 @@ def test_classify_k3_stops_each_row_at_theta(monkeypatch):
 
     monkeypatch.setattr(classifier, "forbids_family_type", counted)
     assert classify(ForbiddenFamily((K3,))).status == "feral"
-    assert calls == [("theta", k) for k in (3, 4, 5, 6)]
+    assert calls == [("theta", 6)]
 
 
 def test_verdict_as_dict_round_trips_through_json():
@@ -145,15 +155,25 @@ def test_verdict_as_dict_round_trips_through_json():
     assert json.loads(blob)["status"] == "strongly_quasi_tame"
 
 
+def small_members():
+    """Every graph on 1..5 vertices."""
+    return [g for n in range(1, 6) for g in nonisomorphic_graphs(n)]
+
+
+def prism_bound(h):
+    # prism's R = max(2, h + 2) - 1 = h + 1 lengths give the largest bound
+    return (h + 1) * (max(h, 3) - 1) + 1
+
+
 def test_census_of_single_member_families():
     # every graph on 1..5 vertices as the one forbidden member
-    graphs = [g for n in range(1, 6) for g in nonisomorphic_graphs(n)]
+    graphs = small_members()
     verdicts = [classify(ForbiddenFamily((g,))) for g in graphs]
     statuses = [v.status for v in verdicts]
     assert len(graphs) == 52
     assert Counter(statuses) == {"feral": 45, "strongly_quasi_tame": 5, "tame": 2}
     two_k2 = next(i for i, g in enumerate(graphs) if are_isomorphic(g, Graph(4, [(0, 1), (2, 3)])))
-    assert (statuses[two_k2], verdicts[two_k2].k_certificate) == ("strongly_quasi_tame", 4)
+    assert (statuses[two_k2], verdicts[two_k2].k_certificate) == ("strongly_quasi_tame", 16)
 
     # H induced in H' gives Free(H) inside Free(H'), so Free(H) is at least as tame
     rank = {"feral": 0, "strongly_quasi_tame": 1, "tame": 2}
@@ -163,13 +183,27 @@ def test_census_of_single_member_families():
     assert len(pairs) == 347
     assert [(i, j) for i, j in pairs if rank[statuses[i]] < rank[statuses[j]]] == []
 
-    # a longer length cap (h raised by 3) or one more row changes no verdict
+    # a longer length cap (h raised by 3) or one more ladder row changes no
+    # verdict; the certificate is the bound for h
     for g, v in zip(graphs, verdicts):
         longer = classify(ForbiddenFamily((g,), h=g.n + 3))
         wider = classify(ForbiddenFamily((g,)), k_max=7)
         assert longer.status == wider.status == v.status
         if v.status != "feral":
-            assert longer.k_certificate == wider.k_certificate == v.k_certificate
+            assert wider.k_certificate == v.k_certificate == prism_bound(g.n)
+            assert longer.k_certificate == prism_bound(g.n + 3)
+
+
+def test_uniform_answers_match_the_length_sweep_at_k_6():
+    # the per-type answer from uniform instances against the fixed-k sweep
+    # of every length multiset, on every single member on 1..5 vertices
+    pairs = 0
+    for g in small_members():
+        hh = ForbiddenFamily((g,))
+        for t in ("theta", "prism", "pyramid", "claw", "paw"):
+            assert forbids_family_type(hh, t)[0] == forbids_by_length_sweep(hh, t, 6), (g.edges(), t)
+            pairs += 1
+    assert pairs == 260
 
 
 # degree-2 path reduction
@@ -338,3 +372,21 @@ def test_reduce_creates_no_small_induced_subgraph():
             assert reduced.n < g.n
             assert small_induced_forms(reduced, h) <= small_induced_forms(g, h)
     assert checked >= 250
+
+
+def test_small_induced_subgraphs_of_a_bundle_come_from_its_m_path_sub_bundles():
+    # claim (a) of the module docstring, by brute force over vertex subsets
+    rng = random.Random(20261021)
+    checked = 0
+    for h in (2, 3, 4):
+        m = max(h, 3)
+        for maker, lo in ((theta, 4), (prism, 2), (pyramid, 3)):
+            for k in (m + 1, m + 2):
+                lengths = [rng.randint(lo, max(lo, h + 2)) for _ in range(k)]
+                whole = small_induced_forms(maker(lengths)[0], h)
+                parts = set()
+                for sub in combinations(lengths, m):
+                    parts |= small_induced_forms(maker(sub)[0], h)
+                assert whole == parts, (maker.__name__, lengths)
+                checked += 1
+    assert checked == 18

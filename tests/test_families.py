@@ -247,6 +247,14 @@ def test_subdivision_verifier_rejects_extra_edges():
     bad = Graph(3, [(0, 1), (1, 2), (0, 2)])
     ok, _ = verify_witness(bad, spec_for("subdivision", k=0, base_graph=p3), w)
     assert not ok
+    # a subdivided P3 is no subdivision of a triangle or of K4
+    g, w = subdivide_with_witness(p3, 1)
+    k4 = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+    assert verify_witness(g, spec_for("subdivision", k=1, base_graph=p3), w) == (True, [])
+    assert verify_witness(g, spec_for("subdivision", k=1, base_graph=tri), w) == (
+        False, ["the P roles are the base graph's edges"])
+    assert verify_witness(g, spec_for("subdivision", k=1, base_graph=k4), w) == (
+        False, ["the base role has one vertex per base graph vertex"])
 
 
 def test_verifiers_reject_a_vertex_outside_every_role():
