@@ -10,27 +10,17 @@ from .graphs import (
     Graph,
     GraphError,
     are_isomorphic,
-    components,
-    contract_edge,
-    contract_set,
-    disjoint_union,
     format_edge_list,
-    induced_subgraph,
     parse_edge_list,
 )
 from .separators import (
     BranchResult,
-    SeparatorRecord,
-    ShatterResult,
-    TraceFamily,
     close_separator,
     domination_number,
     enumerate_branching,
     enumerate_closure,
     enumerate_oracle,
-    full_components,
     is_minimal_separator,
-    make_separator_record,
     minimal_uv_separators,
     separator_leq,
     shattered_set_max,

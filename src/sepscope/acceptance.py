@@ -183,8 +183,7 @@ def criterion_6() -> Row:
                 if u == v or u in nv:
                     continue
                 pairs += 1
-                rec = close_separator(g, u, v)
-                s = rec.separator
+                s = close_separator(g, u, v)
                 uv = minimal_uv_separators(g, u, v, seps)
                 inside = [t for t in uv if set(t) <= nv]
                 if (
@@ -225,11 +224,11 @@ def criterion_8() -> Row:
     for g, seps, order in zip(corpus, oracle, orders):
         kstar = order + 1
         for v in range(g.n):
-            tf = trace_family(g, v, separators=seps)
+            traces = trace_family(g, v, separators=seps)
             checked += 1
-            if len(tf.traces) > g.n ** (kstar + 1):
+            if len(traces) > g.n ** (kstar + 1):
                 problems += 1
-            if shattered_set_max(tf.traces).dimension > kstar:
+            if len(shattered_set_max(traces)) > kstar:
                 problems += 1
     detail = f"{checked} (graph,v) trace families, {problems} bound violations"
     return ("8 trace/VC bound", problems == 0, detail)

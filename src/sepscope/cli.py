@@ -81,10 +81,17 @@ def _report(command: str, inputs: Dict[str, str], config: Dict, results, complet
     }
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _emit(report: Dict, args, default_stdout: bool = True) -> None:
     text = json.dumps(report, sort_keys=True, indent=2)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        _write(Path(args.out), text + "\n")
     if args.json or (default_stdout and not args.out):
         print(text)
 
@@ -178,7 +185,7 @@ def cmd_gen(args) -> int:
     stem = stem[:-3] if stem.endswith(".el") else stem
     el_path = Path(stem + ".el")
     side_path = Path(stem + ".witness.json")
-    el_path.write_text(format_edge_list(g, comment=f"{family} n={g.n} m={g.m}"))
+    _write(el_path, format_edge_list(g, comment=f"{family} n={g.n} m={g.m}"))
     sidecar = {
         "family": family,
         "params": {
@@ -193,7 +200,7 @@ def cmd_gen(args) -> int:
         "roles": {name: list(vs) for name, vs in sorted(w.role_map.items())},
         "verified": True,
     }
-    side_path.write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    _write(side_path, json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
     elapsed = int((time.monotonic() - started) * 1000)
     for p in (el_path, side_path):
         inputs[str(p)] = hashlib.sha256(p.read_bytes()).hexdigest()

@@ -57,14 +57,20 @@ class MinorWitness:
 
 
 def validate_creature(g: Graph, w: CreatureWitness) -> List[str]:
-    """Clause-by-clause check; returns the list of violated clauses."""
-    out = []
-    a, b = mask_of(w.a_side), mask_of(w.b_side)
+    """Clause-by-clause check; returns the list of violated clauses.
+
+    A vertex outside V(G) or a row whose length is not the order is
+    reported alone, since the other clauses cannot be read.
+    """
     xs, ys = list(w.x_row), list(w.y_row)
     k = w.order
-    allm = [a, b, mask_of(xs), mask_of(ys)]
+    if not all(0 <= v < g.n for v in (*w.a_side, *w.b_side, *xs, *ys)):
+        return ["A, B, X, Y inside V(G)"]
     if len(xs) != k or len(ys) != k:
-        out.append("|X| = |Y| = order")
+        return ["|X| = |Y| = order"]
+    out = []
+    a, b = mask_of(w.a_side), mask_of(w.b_side)
+    allm = [a, b, mask_of(xs), mask_of(ys)]
     union = 0
     for m in allm:
         if union & m:
@@ -98,11 +104,13 @@ def validate_creature(g: Graph, w: CreatureWitness) -> List[str]:
 
 
 def validate_minor_witness(g: Graph, h: Graph, w: MinorWitness) -> List[str]:
+    """Clause-by-clause check; returns the list of violated clauses."""
+    if sorted(u for u, _ in w.branch_sets) != list(range(h.n)):
+        return ["branch sets must cover V(H) exactly"]
+    if not all(0 <= v < g.n for _, vs in w.branch_sets for v in vs):
+        return ["branch sets inside V(G)"]
     out = []
     bm = {u: mask_of(vs) for u, vs in w.branch_sets}
-    if sorted(bm) != list(range(h.n)):
-        out.append("branch sets must cover V(H) exactly")
-        return out
     union = 0
     for u, m in bm.items():
         if not m:

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .graphs import Graph, disjoint_union, mask_of
+from .graphs import Graph, mask_of
 
 VertexSet = Tuple[int, ...]
 
@@ -354,15 +354,17 @@ def long_paw(arm: int) -> Tuple[Graph, StructureWitness]:
 
 def _copies(k: int, paw: bool) -> Tuple[Graph, StructureWitness]:
     _need(k >= 2, "%s needs k >= 2 (the arm length of each copy)", "paw" if paw else "claw")
-    part, pw = _long(k, paw)
-    g, rels = disjoint_union([part] * k)
+    b = _Builder()
     w = StructureWitness()
-    for i, rel in enumerate(rels, 1):
-        w.role_map[f"copy_{i}"] = tuple(rel.get(v) for v in range(part.n))
-        for role, vs in pw.role_map.items():
-            renamed = f"{role}_{i}" if "_" not in role else role.replace("_", f"_{i}_", 1)
-            w.role_map[renamed] = tuple(rel.get(x) for x in vs)
-    return g, w
+    for i in range(1, k + 1):
+        first = b.count
+        starts, arms = b.long(k, paw)
+        w.role_map[f"copy_{i}"] = tuple(range(first, b.count))
+        w.role_map.update({f"triangle_{i}": tuple(starts)} if paw else {f"v_{i}": (starts[0],)})
+        for j, (p, leaf) in enumerate(zip(arms, "abc"), 1):
+            w.role_map[f"P_{i}_{j}"] = tuple(p)
+            w.role_map[f"{leaf}_{i}"] = (p[-1],)
+    return b.graph(), w
 
 
 def claw(k: int) -> Tuple[Graph, StructureWitness]:
@@ -890,11 +892,13 @@ def generate(spec: FamilySpec) -> Tuple[Graph, StructureWitness]:
         if spec.layout_seed is not None:
             rng = random.Random(spec.layout_seed)
             return sampled_ladder_instance(fam, k, rng, lengths=spec.path_lengths)
-        return _bundle(fam, k, spec.path_lengths)
+        named = ladder_theta if fam == "ladder_theta" else ladder_prism if fam == "ladder_prism" else ladder
+        return named(k, spec.path_lengths)
     if fam in ("claw", "paw"):
-        return _copies(k, paw=fam == "paw")
+        return paw(k) if fam == "paw" else claw(k)
     if fam in ("long_claw", "long_paw"):
-        return _long(spec.arm_length if spec.arm_length is not None else k, paw=fam == "long_paw")
+        arm = spec.arm_length if spec.arm_length is not None else k
+        return long_paw(arm) if fam == "long_paw" else long_claw(arm)
     if fam == "skinny_ladder":
         return skinny_ladder(k)
     if fam == "almost_skinny_ladder":

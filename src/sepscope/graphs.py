@@ -1,5 +1,5 @@
-"""Immutable small-graph type plus the set/contraction operations everything
-else is built on.
+"""Immutable small-graph type plus the mask, flood-fill, edge-list and
+isomorphism operations everything else is built on.
 
 Vertices are always 0..n-1.  Vertex sets cross API boundaries as sorted tuples
 of ints; internally most routines work on integer bitmasks (bit v set <=>
@@ -9,8 +9,6 @@ at desk scale.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
@@ -169,20 +167,6 @@ class Graph:
             nb |= self._nbr[v]
         return (nb | smask) if closed else (nb & ~smask)
 
-    def components_masks(self, within: Optional[int] = None) -> List[int]:
-        """Connected components of the subgraph induced on `within` (mask).
-
-        Defaults to the whole vertex set.  Ordered by smallest contained
-        vertex.
-        """
-        rem = self.full_mask() if within is None else within
-        out = []
-        while rem:
-            comp = flood(self._nbr, rem & -rem, rem)[0]
-            out.append(comp)
-            rem &= ~comp
-        return out
-
     def is_connected_mask(self, within: int) -> bool:
         return within != 0 and flood(self._nbr, within & -within, within)[0] == within
 
@@ -203,97 +187,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self._m})"
-
-
-@dataclass(frozen=True)
-class Relabeling:
-    """Old-vertex -> new-vertex map attached to transformed graphs."""
-
-    mapping: Dict[int, int]
-
-    def apply(self, vertices: Iterable[int]) -> Tuple[int, ...]:
-        return tuple(sorted(self.mapping[v] for v in vertices))
-
-    def get(self, v: int) -> Optional[int]:
-        return self.mapping.get(v)
-
-
-@dataclass(frozen=True)
-class Contraction:
-    """Record of collapsing a connected vertex set to a single vertex.
-
-    kept_vertex is the new id of the merged vertex; mapping sends every old
-    vertex (merged ones included) to its new id.
-    """
-
-    merged: Tuple[int, ...]
-    kept_vertex: int
-    relabeling: Relabeling
-
-
-def induced_subgraph(g: Graph, keep: Iterable[int]) -> Tuple[Graph, Relabeling]:
-    """Subgraph induced on `keep`, relabeled to 0..len(keep)-1 in sorted order."""
-    ks = sorted(set(keep))
-    for v in ks:
-        if not 0 <= v < g.n:
-            raise GraphError(f"vertex {v} out of range")
-    idx = {v: i for i, v in enumerate(ks)}
-    edges = [
-        (idx[u], idx[v])
-        for u, v in itertools.combinations(ks, 2)
-        if g.has_edge(u, v)
-    ]
-    return Graph(len(ks), edges), Relabeling(idx)
-
-
-def components(g: Graph, within: Optional[Iterable[int]] = None) -> List[Tuple[int, ...]]:
-    wmask = None if within is None else mask_of(within)
-    return [set_of(c) for c in g.components_masks(wmask)]
-
-
-def contract_set(g: Graph, vs: Iterable[int]) -> Tuple[Graph, Contraction]:
-    """Collapse the connected set vs to one vertex.
-
-    The merged vertex takes the position of min(vs) in the new sorted
-    labeling; all other vertices keep their relative order.
-    """
-    vmask = mask_of(vs)
-    if vmask == 0:
-        raise GraphError("cannot contract an empty set")
-    if vmask & ~g.full_mask():
-        raise GraphError("contraction set out of range")
-    if not g.is_connected_mask(vmask):
-        raise GraphError("contraction set must induce a connected subgraph")
-    rep = (vmask & -vmask).bit_length() - 1
-    new_order = sorted(set_of(g.full_mask() & ~vmask) + (rep,))
-    idx = {v: i for i, v in enumerate(new_order)}
-    mapping = dict(idx)
-    for v in bits(vmask):
-        mapping[v] = idx[rep]
-    edges = set()
-    for u, v in g.edges():
-        nu, nv = mapping[u], mapping[v]
-        if nu != nv:
-            edges.add((min(nu, nv), max(nu, nv)))
-    h = Graph(len(new_order), sorted(edges))
-    return h, Contraction(set_of(vmask), idx[rep], Relabeling(mapping))
-
-
-def contract_edge(g: Graph, u: int, v: int) -> Tuple[Graph, Contraction]:
-    if not g.has_edge(u, v):
-        raise GraphError(f"({u},{v}) is not an edge")
-    return contract_set(g, (u, v))
-
-
-def disjoint_union(graphs: Sequence[Graph]) -> Tuple[Graph, List[Relabeling]]:
-    maps = []
-    edges = []
-    off = 0
-    for h in graphs:
-        maps.append(Relabeling({v: v + off for v in range(h.n)}))
-        edges.extend((u + off, v + off) for u, v in h.edges())
-        off += h.n
-    return Graph(off, edges), maps
 
 
 # ---------------------------------------------------------------------------

@@ -36,26 +36,6 @@ VertexSet = Tuple[int, ...]
 # ---------------------------------------------------------------------------
 
 
-def _full_component_masks(g: Graph, smask: int) -> List[int]:
-    """Components of g-S whose open neighborhood is exactly S."""
-    out = []
-    r = g.full_mask() & ~smask
-    while r:
-        comp, reach = flood(g._nbr, r & -r, r)
-        if reach & smask == smask:
-            out.append(comp)
-        r &= ~comp
-    return out
-
-
-def full_components(g: Graph, s: Iterable[int]) -> List[VertexSet]:
-    """All S-full components of g-S, ordered by smallest vertex."""
-    smask = mask_of(s)
-    if smask & ~g.full_mask():
-        raise ValueError("separator vertices out of range")
-    return [set_of(c) for c in _full_component_masks(g, smask)]
-
-
 def _is_min_sep_in(nbr: Sequence[int], wmask: int, smask: int) -> bool:
     """True when G[wmask] - S has two S-full components; S lies inside wmask."""
     r = wmask & ~smask
@@ -75,33 +55,6 @@ def is_minimal_separator(g: Graph, s: Iterable[int]) -> bool:
     if smask == 0 or smask & ~g.full_mask():
         return False
     return _is_min_sep_in(g._nbr, g.full_mask(), smask)
-
-
-@dataclass(frozen=True)
-class SeparatorRecord:
-    """A certified minimal separator with its full components."""
-
-    separator: VertexSet
-    full_component_list: Tuple[VertexSet, ...]
-    witness_pair: Optional[Tuple[int, int]] = None
-
-
-def make_separator_record(
-    g: Graph, s: Iterable[int], witness_pair: Optional[Tuple[int, int]] = None
-) -> SeparatorRecord:
-    """The record of S; raises ValueError unless S is a minimal separator
-    (and a minimal u,v-separator for a given witness pair (u, v))."""
-    smask = mask_of(s)
-    if not smask:
-        raise ValueError("separator must be nonempty")
-    fulls = tuple(set_of(c) for c in _full_component_masks(g, smask))
-    if len(fulls) < 2:
-        raise ValueError("not a minimal separator: fewer than two full components")
-    if witness_pair is not None:
-        fault = _uv_separator_fault(g, smask, *witness_pair)
-        if fault:
-            raise ValueError(f"witness pair: {fault}")
-    return SeparatorRecord(set_of(smask), fulls, witness_pair)
 
 
 def _component_of(g: Graph, v: int, smask: int) -> Optional[int]:
@@ -308,7 +261,7 @@ def enumerate_closure(g: Graph, *, budget: int = 2_000_000) -> List[VertexSet]:
 # ---------------------------------------------------------------------------
 
 
-def close_separator(g: Graph, u: int, v: int) -> SeparatorRecord:
+def close_separator(g: Graph, u: int, v: int) -> VertexSet:
     """The unique minimal u,v-separator contained in N(v).
 
     Built as N(C) for C the component of u in g - N[v].  Raises ValueError
@@ -324,8 +277,10 @@ def close_separator(g: Graph, u: int, v: int) -> SeparatorRecord:
     comp = _component_of(g, u, g.closed_nbr_mask(v))
     assert comp is not None
     smask = g.nbhd_mask(comp)
-    rec = make_separator_record(g, set_of(smask), witness_pair=(u, v))
-    return rec
+    fault = _uv_separator_fault(g, smask, u, v)
+    if fault:
+        raise ValueError(fault)
+    return set_of(smask)
 
 
 def separator_leq(g: Graph, s1: Iterable[int], s2: Iterable[int], u: int, v: int) -> bool:
@@ -356,21 +311,13 @@ def minimal_uv_separators(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceFamily:
-    """The distinct sets N(v) & S over minimal separators S avoiding v."""
-
-    vertex: int
-    traces: Tuple[VertexSet, ...]
-
-    def __len__(self) -> int:
-        return len(self.traces)
-
-
 def trace_family(
     g: Graph, v: int, separators: Optional[Iterable[VertexSet]] = None, *, budget: int = 2_000_000
-) -> TraceFamily:
-    """Traces of v; without separators they come from enumerate_oracle(g, budget)."""
+) -> Tuple[VertexSet, ...]:
+    """The distinct sets N(v) & S over minimal separators S avoiding v, sorted.
+
+    Without separators they come from enumerate_oracle(g, budget).
+    """
     if separators is None:
         separators = enumerate_oracle(g, budget=budget)
     nv = g.nbr_mask(v)
@@ -380,27 +327,21 @@ def trace_family(
         if smask >> v & 1:
             continue
         seen.add(smask & nv)
-    return TraceFamily(v, tuple(sorted(set_of(m) for m in seen)))
+    return tuple(sorted(set_of(m) for m in seen))
 
 
-@dataclass(frozen=True)
-class ShatterResult:
-    dimension: int
-    witness: VertexSet
+def shattered_set_max(traces: Iterable[VertexSet]) -> VertexSet:
+    """A largest set shattered by the trace family, by exhaustive search.
 
-
-def shattered_set_max(traces: Iterable[VertexSet]) -> ShatterResult:
-    """Largest set shattered by the trace family, by exhaustive search.
-
-    Convention: the empty family and the family {()} both report dimension 0
-    with the empty witness.
+    Its size is the family's VC dimension.  Convention: the empty family
+    and the family {()} both shatter only the empty set.
     """
     fam = [mask_of(t) for t in traces]
     universe = 0
     for m in fam:
         universe |= m
     uni = set_of(universe)
-    best = ShatterResult(0, ())
+    best: VertexSet = ()
     for d in range(1, len(uni) + 1):
         hit = None
         for combo in itertools.combinations(uni, d):
@@ -415,7 +356,7 @@ def shattered_set_max(traces: Iterable[VertexSet]) -> ShatterResult:
                 break
         if hit is None:
             break
-        best = ShatterResult(d, hit)
+        best = hit
     return best
 
 

@@ -5,7 +5,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from sepscope import classifier, families
 from sepscope.detectors import FOUND, UNKNOWN, find_induced_subgraph
-from sepscope.graphs import BudgetExhausted, Graph, bits, contract_edge, mask_of, set_of
+from sepscope.graphs import BudgetExhausted, Graph, bits, flood, mask_of, set_of
 from sepscope.separators import BranchResult, _closure_masks, _is_min_sep_in, is_minimal_separator
 
 
@@ -64,6 +64,36 @@ def canonical_form(g: Graph) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
         for i in bits(row):
             edges.append((i, j))
     return (n, tuple(sorted(edges)))
+
+
+def components(g: Graph, within: Iterable[int]) -> List[Tuple[int, ...]]:
+    """Components of the subgraph induced on within, by smallest vertex."""
+    rem = mask_of(within)
+    out = []
+    while rem:
+        comp = flood(g._nbr, rem & -rem, rem)[0]
+        out.append(set_of(comp))
+        rem &= ~comp
+    return out
+
+
+def delete_vertex(g: Graph, v: int) -> Graph:
+    """g - v; the vertices after v move down by one."""
+    return Graph(g.n - 1, [(a - (a > v), b - (b > v)) for a, b in g.edges() if v not in (a, b)])
+
+
+def contract_edge(g: Graph, u: int, v: int) -> Graph:
+    """g with the edge uv contracted onto min(u, v); the vertices after
+    max(u, v) move down by one."""
+    if not g.has_edge(u, v):
+        raise ValueError(f"({u},{v}) is not an edge")
+    keep, gone = min(u, v), max(u, v)
+
+    def new(x: int) -> int:
+        return keep if x == gone else x - (x > gone)
+
+    edges = {tuple(sorted((new(a), new(b)))) for a, b in g.edges() if {a, b} != {u, v}}
+    return Graph(g.n - 1, sorted(edges))
 
 
 def forbids_by_length_sweep(
@@ -158,7 +188,7 @@ def reduce_by_edge_rounds(g: Graph, h: int) -> Graph:
         if target is None:
             return g
         mid = len(target) // 2 - 1
-        g, _ = contract_edge(g, target[mid], target[mid + 1])
+        g = contract_edge(g, target[mid], target[mid + 1])
 
 
 def min_sep_masks_by_subsets(nbr: Sequence[int], wmask: int) -> List[int]:

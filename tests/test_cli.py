@@ -77,6 +77,16 @@ def test_gen_bad_params_error_cleanly(capsys, tmp_path, monkeypatch):
     assert code == 2
 
 
+def test_out_into_a_missing_directory_exits_2(tmp_path, capsys):
+    missing = tmp_path / "no_such_dir"
+    el = write(tmp_path, "p4.el", format_edge_list(Graph(4, [(0, 1), (1, 2), (2, 3)])))
+    for argv in (("gen", "theta", "--k", "3", "--out", str(missing / "x")),
+                 ("enum", el, "--out", str(missing / "r.json"))):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error: cannot write"), err
+    assert not missing.exists()
+
+
 def test_enum_oracle_p4(tmp_path, capsys):
     el = write(tmp_path, "p4.el", "4 3\n0 1\n1 2\n2 3\n")
     doc = run_json(capsys, "enum", el, "--algo", "oracle")

@@ -8,6 +8,8 @@ from sepscope.detectors import (
     ABSENT,
     FOUND,
     UNKNOWN,
+    CreatureWitness,
+    MinorWitness,
     extract_skinny_ladder,
     find_creature,
     find_induced_minor,
@@ -27,9 +29,9 @@ from sepscope.families import (
     theta,
     twisted_ladder,
 )
-from sepscope.graphs import Graph, contract_edge, induced_subgraph
+from sepscope.graphs import Graph
 
-from oracles import canonical_form
+from oracles import canonical_form, contract_edge, delete_vertex
 
 
 def path(n):
@@ -241,10 +243,20 @@ def test_creature_whose_a_holds_two_neighbours_of_x1():
 def test_validate_creature_catches_corruption():
     g = path(4)
     w = find_creature(g, 1).witness
-    from sepscope.detectors import CreatureWitness
-
     bad = CreatureWitness(w.a_side, w.a_side, w.x_row, w.y_row, 1)
     assert validate_creature(g, bad) != []
+
+
+def test_validators_report_unreadable_witnesses_instead_of_raising():
+    p4, k2 = path(4), complete(2)
+    short_rows = CreatureWitness((0,), (3,), (1,), (2,), 2)
+    assert validate_creature(p4, short_rows) == ["|X| = |Y| = order"]
+    outside = CreatureWitness((0,), (9,), (1,), (-1,), 1)
+    assert validate_creature(p4, outside) == ["A, B, X, Y inside V(G)"]
+    for sets in (((0, (0,)), (1, (7,))), ((0, (0,)), (1, (-1,)))):
+        assert validate_minor_witness(p4, k2, MinorWitness(sets)) == ["branch sets inside V(G)"]
+    twice = MinorWitness(((0, (0,)), (1, (1,)), (1, (3,))))
+    assert validate_minor_witness(p4, k2, twice) == ["branch sets must cover V(H) exactly"]
 
 
 # induced subgraphs
@@ -369,10 +381,10 @@ def induced_minors_by_contraction(g, n_min):
         nxt = {}
         for cur in layer.values():
             for v in range(cur.n):
-                child, _ = induced_subgraph(cur, [u for u in range(cur.n) if u != v])
+                child = delete_vertex(cur, v)
                 nxt.setdefault(canonical_form(child), child)
             for u, v in cur.edges():
-                child, _ = contract_edge(cur, u, v)
+                child = contract_edge(cur, u, v)
                 nxt.setdefault(canonical_form(child), child)
         layer = nxt
         forms.update(layer)

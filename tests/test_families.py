@@ -35,8 +35,8 @@ from sepscope.graphs import Graph
 from sepscope.separators import (
     domination_number,
     enumerate_closure,
-    full_components,
     is_minimal_separator,
+    minimal_uv_separators,
 )
 
 
@@ -181,10 +181,7 @@ def test_twisted_ladder_certificate():
         for s in choice:
             assert is_minimal_separator(g, s)
             # minimal x,y-separator: x and y lie in two distinct full components
-            fulls = full_components(g, s)
-            x_side = [c for c in fulls if x in c]
-            y_side = [c for c in fulls if y in c]
-            assert len(x_side) == len(y_side) == 1 and x_side != y_side
+            assert minimal_uv_separators(g, x, y, [s]) == [s]
         doms = [domination_number(g, s, range(g.n))[0] for s in enumerate_closure(g)]
         assert max(doms) == 2 * k
         assert find_creature(g, 5).status == ABSENT

@@ -7,13 +7,9 @@ from sepscope.graphs import (
     Graph,
     GraphError,
     are_isomorphic,
-    components,
     connected_sets,
-    contract_edge,
-    contract_set,
-    disjoint_union,
+    flood,
     format_edge_list,
-    induced_subgraph,
     mask_of,
     parse_edge_list,
     set_of,
@@ -28,6 +24,9 @@ def path(n):
 
 def cycle(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+TWO_TRIANGLES = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
 
 
 def random_graph(n, p, rng):
@@ -59,13 +58,7 @@ def test_construction_rejects_bad_edges():
 def test_empty_and_single_vertex():
     assert not Graph(0).is_connected()
     assert Graph(1).is_connected()
-    assert Graph(2).components_masks() == [1, 2]
-
-
-def test_components():
-    g = Graph(5, [(0, 1), (2, 3)])
-    assert components(g) == [(0, 1), (2, 3), (4,)]
-    assert components(g, within=(0, 2, 3)) == [(0,), (2, 3)]
+    assert not Graph(2).is_connected()
 
 
 def test_components_masks_split_within():
@@ -75,8 +68,13 @@ def test_components_masks_split_within():
         n = rng.randint(1, 10)
         g = random_graph(n, rng.choice((0.1, 0.25, 0.4)), rng)
         within = rng.getrandbits(n)
-        comps = g.components_masks(within)
-        assert [c & -c for c in comps] == sorted(c & -c for c in comps)
+        comps = []
+        rest = within
+        while rest:
+            c, reach = flood(g._nbr, rest & -rest, rest)
+            assert_reach_is_the_or_of_nbr(g, [(c, reach)])
+            comps.append(c)
+            rest &= ~c
         union = 0
         for c in comps:
             assert c and not c & union
@@ -161,43 +159,6 @@ def test_connected_sets_stop_keeps_every_minimal_stopping_set():
         assert set(minimal) <= set(got)
 
 
-def test_induced_subgraph_relabels():
-    g = cycle(5)
-    h, rel = induced_subgraph(g, (1, 2, 4))
-    assert h.n == 3 and h.m == 1
-    assert sorted(rel.mapping) == [1, 2, 4]
-    assert rel.apply((1, 2)) == (0, 1)
-    assert rel.get(0) is None
-
-
-def test_contract_edge_c4_gives_triangle():
-    g = cycle(4)
-    h, c = contract_edge(g, 0, 1)
-    assert h.n == 3 and h.m == 3
-    assert c.merged == (0, 1)
-    with pytest.raises(GraphError):
-        contract_edge(g, 0, 2)
-
-
-def test_contract_set_requires_connected():
-    g = path(5)
-    h, c = contract_set(g, (1, 2, 3))
-    assert h.n == 3 and sorted(h.edges()) == [(0, 1), (1, 2)]
-    with pytest.raises(GraphError):
-        contract_set(g, (0, 4))
-
-
-def test_contract_path_chain():
-    h, _ = contract_set(path(6), (2, 3))
-    assert h.n == 5 and are_isomorphic(h, path(5))
-
-
-def test_disjoint_union():
-    g, rels = disjoint_union([path(2), cycle(3)])
-    assert g.n == 5 and g.m == 4
-    assert rels[1].get(0) == 2
-
-
 def test_edge_list_round_trip():
     rng = random.Random(4821)
     for _ in range(30):
@@ -216,7 +177,7 @@ def test_parse_edge_list_rejects_garbage():
 def test_isomorphism_positive_and_negative():
     assert are_isomorphic(cycle(5), cycle(5))
     assert not are_isomorphic(cycle(5), path(5))
-    assert not are_isomorphic(cycle(6), disjoint_union([cycle(3), cycle(3)])[0])
+    assert not are_isomorphic(cycle(6), TWO_TRIANGLES)
 
 
 def test_isomorphism_under_random_relabeling():
@@ -232,6 +193,4 @@ def test_isomorphism_under_random_relabeling():
 
 def test_canonical_form_separates_same_degree_sequence():
     # C6 and 2*C3 share the degree sequence yet differ
-    g = cycle(6)
-    h, _ = disjoint_union([cycle(3), cycle(3)])
-    assert canonical_form(g) != canonical_form(h)
+    assert canonical_form(cycle(6)) != canonical_form(TWO_TRIANGLES)

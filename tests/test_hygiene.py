@@ -1,8 +1,9 @@
 """Static checks over the source tree.
 
-No imported name goes unused, and no private module-level function in src/
-goes unread by its module; src/ defines no exception class beyond the three
-the package needs, and every exponential route names its bound `budget`.
+No imported name goes unused, no private module-level function in src/
+goes unread by its module, and no public function, class or method in src/
+is read only by tests; src/ defines no exception class beyond the three the
+package needs, and every exponential route names its bound `budget`.
 """
 
 import ast
@@ -120,3 +121,109 @@ def test_one_budget_exception_and_no_retired_bound_names():
         for line, what in budget_convention_faults(path.read_text()):
             found.append(f"{path.relative_to(ROOT)}:{line}: {what}")
     assert not found, "budget convention:\n" + "\n".join(found)
+
+
+# public names in src/ that nothing outside tests reads: label -> reason
+PUBLIC_ONLY_FOR_TESTS: dict = {}
+
+
+def _public_definitions(tree: ast.Module):
+    """(label, node) for each public module-level function or class, and for
+    each public method of such a class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item
+
+
+def _reads(tree: ast.Module):
+    """(name, owner, line) per Name load (owner None) and attribute load; the
+    owner of x.y.name is y, of x.name is x, and "" for any other expression."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id, None, n.lineno
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            v = n.value
+            owner = v.id if isinstance(v, ast.Name) else v.attr if isinstance(v, ast.Attribute) else ""
+            yield n.attr, owner, n.lineno
+
+
+def unread_public_names(sources):
+    """Public definitions in the src/ files among sources ({path: text}) that
+    no read outside their own definition reaches.
+
+    A function or class is read by its own module, by a module that imports
+    it from the package (absolutely or relatively) and reads it, or as an
+    attribute of its module (`families.theta`); a method by any attribute
+    load of its name.  __init__.py re-exports do not count.
+    """
+    trees = {path: ast.parse(text) for path, text in sources.items()
+             if not path.endswith("__init__.py")}
+    imported = {
+        path: {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+               and (n.level or (n.module or "").startswith("sepscope")) for a in n.names}
+        for path, tree in trees.items()
+    }
+    reads = {path: list(_reads(tree)) for path, tree in trees.items()}
+    found = []
+    for path, tree in trees.items():
+        if not path.startswith("src/"):
+            continue
+        module = Path(path).stem
+        for label, node in _public_definitions(tree):
+            method = "." in label
+
+            def reaches(other, name, owner, line):
+                if name != node.name or (other == path and node.lineno <= line <= node.end_lineno):
+                    return False
+                if method:
+                    return owner is not None
+                if owner is None:
+                    return other == path or name in imported[other]
+                return owner == module
+
+            if not any(reaches(other, *r) for other in trees for r in reads[other]):
+                found.append(f"{path}: {label}")
+    return found
+
+
+def test_unread_public_names_helper_sees_reads_outside_tests():
+    sources = {
+        "src/pkg/graphs.py": (
+            "def used(): return helper()\n"
+            "def helper(): pass\n"
+            "def test_only(): pass\n"
+            "def recursive(): return recursive()\n"
+            "def by_module(): pass\n"
+            "def shadowed(): pass\n"
+            "class Box:\n"
+            "    def read(self): return self.dead\n"
+            "    def dead(self): pass\n"
+            "    def unread(self): pass\n"
+        ),
+        "src/pkg/__init__.py": "from .graphs import test_only\n",
+        "src/pkg/cli.py": "from .graphs import used, Box\nused(Box().read())\n",
+        "bench/run.py": "import checks\nfrom sepscope import graphs\ngraphs.by_module(checks.shadowed)\n",
+        "demos/d.py": "shadowed()\n",
+    }
+    assert unread_public_names(sources) == [
+        "src/pkg/graphs.py: test_only",
+        "src/pkg/graphs.py: recursive",
+        "src/pkg/graphs.py: shadowed",
+        "src/pkg/graphs.py: Box.unread",
+    ]
+
+
+def test_no_public_names_only_tests_read():
+    sources = {
+        str(path.relative_to(ROOT)): path.read_text()
+        for top in ("src", "bench", "demos") for path in sorted((ROOT / top).rglob("*.py"))
+    }
+    flagged = unread_public_names(sources)
+    found = [f for f in flagged if f.split(": ")[1] not in PUBLIC_ONLY_FOR_TESTS]
+    assert not found, "public names only tests read:\n" + "\n".join(found)
+    stale = set(PUBLIC_ONLY_FOR_TESTS) - {f.split(": ")[1] for f in flagged}
+    assert not stale, f"allow-listed names that something reads: {sorted(stale)}"

@@ -7,7 +7,7 @@ from sepscope.corpus import erdos_renyi, nonisomorphic_graphs
 from sepscope.cli import result_doc
 from sepscope import separators
 from sepscope.families import claw_feral, feral_choice_separators, paw_feral, twisted_ladder
-from sepscope.graphs import BudgetExhausted, Graph, components
+from sepscope.graphs import BudgetExhausted, Graph, bits
 from sepscope.separators import (
     _closure_masks,
     _min_sep_masks_in,
@@ -16,16 +16,14 @@ from sepscope.separators import (
     enumerate_branching,
     enumerate_closure,
     enumerate_oracle,
-    full_components,
     is_minimal_separator,
-    make_separator_record,
     minimal_uv_separators,
     separator_leq,
     shattered_set_max,
     trace_family,
 )
 
-from oracles import branching_by_result_sets, min_sep_masks_by_subsets
+from oracles import branching_by_result_sets, components, min_sep_masks_by_subsets
 
 
 def path(n):
@@ -87,7 +85,7 @@ def test_oracle_matches_subsets_inside_vertex_subsets():
         n = rng.randint(5, 12)
         g = erdos_renyi(n, rng.choice((0.2, 0.35, 0.5, 0.7)), rng)
         w = sum(1 << v for v in range(n) if rng.random() < 0.8) or g.full_mask()
-        disconnected += len(g.components_masks(w)) > 1
+        disconnected += len(components(g, bits(w))) > 1
         assert _min_sep_masks_in(g._nbr, w) == set(min_sep_masks_by_subsets(g._nbr, w)), (
             g.edges(), w,
         )
@@ -126,12 +124,6 @@ def test_is_minimal_separator():
     assert not is_minimal_separator(g, (0, 1))
     assert not is_minimal_separator(g, (0, 2, 3))
     assert not is_minimal_separator(g, ())
-
-
-def test_full_components():
-    g = cycle(6)
-    fulls = full_components(g, (0, 3))
-    assert sorted(fulls) == [(1, 2), (4, 5)]
 
 
 def test_closure_matches_oracle_on_random_graphs():
@@ -317,9 +309,9 @@ def test_budgets_of_the_separator_routes():
 
 def test_close_separator_on_cycle():
     g = cycle(6)
-    rec = close_separator(g, 0, 3)
-    assert rec.separator == (2, 4)
-    assert set(rec.separator) <= set(g.neighbors(3))
+    s = close_separator(g, 0, 3)
+    assert s == (2, 4)
+    assert set(s) <= set(g.neighbors(3))
 
 
 def test_close_separator_rejects_bad_pairs():
@@ -346,9 +338,9 @@ def test_close_separator_is_leq_maximal():
                 if g.has_edge(u, v):
                     continue
                 tried += 1
-                rec = close_separator(g, u, v)
+                s = close_separator(g, u, v)
                 for t in minimal_uv_separators(g, u, v, seps):
-                    assert separator_leq(g, t, rec.separator, u, v)
+                    assert separator_leq(g, t, s, u, v)
 
 
 def test_separator_leq_is_reflexive_and_ordered():
@@ -367,32 +359,21 @@ def test_domination_number_on_path():
     assert set(hitters) and len(hitters) == 2
 
 
-def test_make_separator_record_validates():
-    g = cycle(5)
-    rec = make_separator_record(g, (0, 2))
-    assert rec.separator == (0, 2)
-    assert len(rec.full_component_list) >= 2
-    with pytest.raises(ValueError):
-        make_separator_record(g, (0, 1))
-
-
 def test_trace_family_and_shattering():
     g = cycle(6)
     seps = enumerate_oracle(g)
-    tf = trace_family(g, 0, separators=seps)
+    traces = trace_family(g, 0, separators=seps)
     # traces live inside N[0]
-    for tr in tf.traces:
+    for tr in traces:
         assert set(tr) <= {0, 1, 5}
-    res = shattered_set_max(tf.traces)
-    assert res.dimension <= 2
+    assert len(shattered_set_max(traces)) <= 2
 
 
 def test_shattered_set_max_hand_case():
     traces = [(), (0,), (1,), (0, 1)]
-    res = shattered_set_max(traces)
-    assert res.dimension == 2
-    assert res.witness == (0, 1)
-    assert shattered_set_max([(), (5,)]).dimension == 1
+    assert shattered_set_max(traces) == (0, 1)
+    assert shattered_set_max([(), (5,)]) == (5,)
+    assert shattered_set_max([]) == shattered_set_max([()]) == ()
 
 
 def test_result_doc_shape():
