@@ -76,7 +76,7 @@ def criterion_1() -> Row:
     for g, want in zip(corpus, oracle):
         if enumerate_closure(g) != want:
             bad += 1
-    randoms = random_connected_corpus(200, seed=20240817, n_lo=4, n_hi=13)
+    randoms = random_connected_corpus(200, seed=20240817)
     for g in randoms:
         if enumerate_closure(g) != enumerate_oracle(g):
             bad += 1

@@ -57,6 +57,8 @@ def _load_graph(path: str, digests: Dict[str, str]) -> Graph:
     """Parse the edge-list file at path, reading it once; digests[path] gets
     the sha256 of the bytes parsed."""
     p = Path(path)
+    if p.is_dir():
+        raise CliError(f"is a directory, not an edge-list file: {path}")
     if not p.is_file():
         raise CliError(f"no such file: {path}")
     data = p.read_bytes()
@@ -131,9 +133,7 @@ def _witness_json(w) -> Optional[Dict]:
         }
     if isinstance(w, MinorWitness):
         return {"branch_sets": {str(hv): list(vs) for hv, vs in w.branch_sets}}
-    if isinstance(w, (tuple, list)):
-        return {"vertices": list(w)}
-    return {"value": repr(w)}
+    return {"vertices": list(w)}
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ the known sequence (all graphs: 1, 2, 4, 11, 34, 156, 1044, 12346).
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List
+from typing import Dict, List
 
 from .graphs import Graph, are_isomorphic, bits, fingerprint, mask_of
 
@@ -87,26 +87,16 @@ def erdos_renyi(n: int, p: float, rng: random.Random) -> Graph:
     return Graph(n, edges)
 
 
-def random_connected_corpus(
-    count: int,
-    seed: int,
-    n_lo: int = 4,
-    n_hi: int = 13,
-    ps: Iterable[float] = (0.2, 0.3, 0.4, 0.5),
-    max_tries: int = 10_000,
-) -> List[Graph]:
-    """Seeded list of connected Erdos-Renyi graphs across the size range."""
+def random_connected_corpus(count: int, seed: int) -> List[Graph]:
+    """Seeded list of connected Erdos-Renyi graphs on 4 to 13 vertices with
+    p in {0.2, 0.3, 0.4, 0.5}, each drawn until connected."""
     rng = random.Random(seed)
-    ps = tuple(ps)
     out: List[Graph] = []
     while len(out) < count:
-        n = rng.randint(n_lo, n_hi)
-        p = rng.choice(ps)
-        for _ in range(max_tries):
+        n = rng.randint(4, 13)
+        p = rng.choice((0.2, 0.3, 0.4, 0.5))
+        g = erdos_renyi(n, p, rng)
+        while not g.is_connected():
             g = erdos_renyi(n, p, rng)
-            if g.is_connected():
-                out.append(g)
-                break
-        else:
-            raise RuntimeError("could not sample a connected graph")
+        out.append(g)
     return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .graphs import BudgetExhausted, Graph, bits, connected_sets, flood, mask_of, set_of
 from .families import FamilySpec, StructureWitness, skinny_ladder, verify_witness
@@ -46,9 +46,6 @@ class CreatureWitness:
 @dataclass(frozen=True)
 class MinorWitness:
     branch_sets: Tuple[Tuple[int, VertexSet], ...]  # (h-vertex, g-set) pairs
-
-    def as_dict(self) -> Dict[int, VertexSet]:
-        return dict(self.branch_sets)
 
 
 # ---------------------------------------------------------------------------
@@ -551,14 +548,10 @@ def longest_induced_cycle_at_least(
 # ---------------------------------------------------------------------------
 
 
-def monotone_subsequence(
-    seq: Sequence[int], r: Optional[int] = None, s: Optional[int] = None
-) -> Tuple[Tuple[int, ...], str]:
+def monotone_subsequence(seq: Sequence[int]) -> Tuple[Tuple[int, ...], str]:
     """Longest monotone subsequence as (index tuple, "increasing"/"decreasing").
 
     Ties prefer increasing, then the lexicographically smallest index list.
-    When r and s are given, a side that reaches its own threshold wins over
-    one that does not; with |seq| >= (r-1)(s-1)+1 some side always does.
     """
     n = len(seq)
     if n == 0:
@@ -584,11 +577,6 @@ def monotone_subsequence(
 
     inc = longest(lambda a, b: a < b)
     dec = longest(lambda a, b: a > b)
-    if r is not None or s is not None:
-        inc_ok = r is not None and len(inc) >= r
-        dec_ok = s is not None and len(dec) >= s
-        if inc_ok != dec_ok:
-            return (inc, "increasing") if inc_ok else (dec, "decreasing")
     if len(inc) >= len(dec):
         return inc, "increasing"
     return dec, "decreasing"

@@ -251,41 +251,25 @@ def pyramid(lengths: Sequence[int]) -> Tuple[Graph, StructureWitness]:
     return _bundle("pyramid", len(lengths), lengths)
 
 
-def ladder_theta(
-    k: int,
-    lengths: Optional[Sequence[int]] = None,
-    l_len: Optional[int] = None,
-    attach: Optional[Sequence[Sequence[int]]] = None,
-) -> Tuple[Graph, StructureWitness]:
+def ladder_theta(k: int, lengths: Optional[Sequence[int]] = None) -> Tuple[Graph, StructureWitness]:
     """Backbone path L plus apex b, with k paths from L-attached a_i to b."""
-    return _bundle("ladder_theta", k, lengths, l_len, attach)
+    return _bundle("ladder_theta", k, lengths)
 
 
-def ladder_prism(
-    k: int,
-    lengths: Optional[Sequence[int]] = None,
-    l_len: Optional[int] = None,
-    attach: Optional[Sequence[Sequence[int]]] = None,
-) -> Tuple[Graph, StructureWitness]:
+def ladder_prism(k: int, lengths: Optional[Sequence[int]] = None) -> Tuple[Graph, StructureWitness]:
     """Backbone path L plus a k-clique, with paths from L-attached a_i to b_i."""
-    return _bundle("ladder_prism", k, lengths, l_len, attach)
+    return _bundle("ladder_prism", k, lengths)
 
 
-def ladder(
-    k: int,
-    lengths: Optional[Sequence[int]] = None,
-    l_len: Optional[int] = None,
-    attach: Optional[Sequence[Sequence[int]]] = None,
-    r_len: Optional[int] = None,
-    r_attach: Optional[Sequence[Sequence[int]]] = None,
-) -> Tuple[Graph, StructureWitness]:
+def ladder(k: int, lengths: Optional[Sequence[int]] = None) -> Tuple[Graph, StructureWitness]:
     """Two backbone paths L and R bridged by k anti-complete a_i..b_i paths.
 
     Endpoints are distinct even at length 2 (the shortest bridge is an edge).
-    The a-side and b-side attachment orders are independent; nothing forces
-    the i-th hull on L to face the i-th hull on R.
+    The backbones have the default layout of `_bundle`; other layouts, with
+    independent a-side and b-side attachment orders, come from
+    sampled_ladder_instance.
     """
-    return _bundle("ladder", k, lengths, l_len, attach, r_len, r_attach)
+    return _bundle("ladder", k, lengths)
 
 
 def _sample_hulls(rng: random.Random, order: Sequence[int]) -> Tuple[int, List[List[int]]]:
@@ -892,8 +876,11 @@ def generate(spec: FamilySpec) -> Tuple[Graph, StructureWitness]:
         if spec.layout_seed is not None:
             rng = random.Random(spec.layout_seed)
             return sampled_ladder_instance(fam, k, rng, lengths=spec.path_lengths)
-        named = ladder_theta if fam == "ladder_theta" else ladder_prism if fam == "ladder_prism" else ladder
-        return named(k, spec.path_lengths)
+        if fam == "ladder_theta":
+            return ladder_theta(k, spec.path_lengths)
+        if fam == "ladder_prism":
+            return ladder_prism(k, spec.path_lengths)
+        return ladder(k, spec.path_lengths)
     if fam in ("claw", "paw"):
         return paw(k) if fam == "paw" else claw(k)
     if fam in ("long_claw", "long_paw"):
@@ -907,6 +894,7 @@ def generate(spec: FamilySpec) -> Tuple[Graph, StructureWitness]:
         return twisted_ladder(k)
     if fam in ("claw_feral", "paw_feral"):
         _need(spec.c is not None, "%s needs c", fam)
-        return _feral(spec.c, spec.arm_length if spec.arm_length is not None else 6, fam == "paw_feral")
+        arm = spec.arm_length if spec.arm_length is not None else 6
+        return paw_feral(spec.c, arm) if fam == "paw_feral" else claw_feral(spec.c, arm)
     _need(spec.base_graph is not None, "subdivision needs base_graph")
     return subdivide_with_witness(spec.base_graph, k)

@@ -160,12 +160,12 @@ class Graph:
     def closed_nbr_mask(self, v: int) -> int:
         return self._nbr[v] | (1 << v)
 
-    def nbhd_mask(self, smask: int, closed: bool = False) -> int:
-        """Neighborhood of a vertex set given as a mask, as a mask."""
+    def nbhd_mask(self, smask: int) -> int:
+        """Open neighborhood of a vertex set given as a mask, as a mask."""
         nb = 0
         for v in bits(smask):
             nb |= self._nbr[v]
-        return (nb | smask) if closed else (nb & ~smask)
+        return nb & ~smask
 
     def is_connected_mask(self, within: int) -> bool:
         return within != 0 and flood(self._nbr, within & -within, within)[0] == within

@@ -311,15 +311,9 @@ def minimal_uv_separators(
 # ---------------------------------------------------------------------------
 
 
-def trace_family(
-    g: Graph, v: int, separators: Optional[Iterable[VertexSet]] = None, *, budget: int = 2_000_000
-) -> Tuple[VertexSet, ...]:
-    """The distinct sets N(v) & S over minimal separators S avoiding v, sorted.
-
-    Without separators they come from enumerate_oracle(g, budget).
-    """
-    if separators is None:
-        separators = enumerate_oracle(g, budget=budget)
+def trace_family(g: Graph, v: int, separators: Iterable[VertexSet]) -> Tuple[VertexSet, ...]:
+    """The distinct sets N(v) & S over the given minimal separators S
+    avoiding v, sorted."""
     nv = g.nbr_mask(v)
     seen = set()
     for s in separators:
@@ -374,70 +368,44 @@ def domination_number(
 ) -> Tuple[int, VertexSet]:
     """Smallest X within candidates with target a subset of N[X], exact.
 
-    Greedy upper bound followed by branch and bound on the least-covered
-    target vertex.  The budget counts branch-and-bound nodes.  Raises
-    ValueError when some target vertex has no dominator among the
-    candidates, BudgetExhausted past the budget.
+    Iterative deepening on |X| = 0, 1, 2, ...: at each size a depth-first
+    search branches on the uncovered target vertex with the fewest
+    dominators.  Every X that covers the target holds one of that vertex's
+    dominators, so the first size that succeeds is the least.  The budget
+    counts search nodes over all sizes.  Raises ValueError when some target
+    vertex has no dominator among the candidates, BudgetExhausted past the
+    budget.
     """
     tmask = mask_of(target)
-    cands = sorted(set(candidates))
-    cov = [(c, g.closed_nbr_mask(c) & tmask) for c in cands]
-    cov = [(c, m) for c, m in cov if m]
-    reach = 0
-    for _, m in cov:
-        reach |= m
-    if tmask & ~reach:
+    cover = {c: g.closed_nbr_mask(c) & tmask for c in sorted(set(candidates))}
+    dominators = {t: [c for c, m in cover.items() if m >> t & 1] for t in bits(tmask)}
+    if not all(dominators.values()):
         raise ValueError("target is not dominable from the candidate set")
     if tmask == 0:
         return 0, ()
-
-    # greedy upper bound, lowest index breaking ties
-    un = tmask
-    greedy: List[int] = []
-    while un:
-        bc, bgain = None, 0
-        for c, m in cov:
-            gain = (m & un).bit_count()
-            if gain > bgain:
-                bc, bgain = c, gain
-        greedy.append(bc)
-        un &= ~g.closed_nbr_mask(bc)
-    best_size = len(greedy)
-    best_set = tuple(sorted(greedy))
-
-    dominators: Dict[int, List[int]] = {
-        t: [c for c, m in cov if m >> t & 1] for t in bits(tmask)
-    }
-    maxcov = max(m.bit_count() for _, m in cov)
     nodes = 0
 
-    def bnb(uncovered: int, chosen: List[int]) -> None:
-        nonlocal nodes, best_size, best_set
+    def search(uncovered: int, left: int) -> Optional[VertexSet]:
+        nonlocal nodes
         nodes += 1
         if nodes > budget:
-            raise BudgetExhausted(f"domination branch and bound passed {budget} nodes")
+            raise BudgetExhausted(f"domination search passed {budget} nodes")
         if not uncovered:
-            if len(chosen) < best_size:
-                best_size = len(chosen)
-                best_set = tuple(sorted(chosen))
-            return
-        lower = len(chosen) + (uncovered.bit_count() + maxcov - 1) // maxcov
-        if lower >= best_size:
-            return
-        # branch on the uncovered vertex with fewest dominators; none of them
-        # is chosen yet, and every target has one (checked above)
-        pickdoms = None
-        for t in bits(uncovered):
-            doms = dominators[t]
-            if pickdoms is None or len(doms) < len(pickdoms):
-                pickdoms = doms
-                if len(doms) == 1:
-                    break
-        for c in pickdoms:
-            bnb(uncovered & ~g.closed_nbr_mask(c), chosen + [c])
+            return ()
+        if not left:
+            return None
+        for c in min((dominators[t] for t in bits(uncovered)), key=len):
+            got = search(uncovered & ~cover[c], left - 1)
+            if got is not None:
+                return (c,) + got
+        return None
 
-    bnb(tmask, [])
-    return best_size, best_set
+    size = 0
+    while True:
+        got = search(tmask, size)
+        if got is not None:
+            return size, tuple(sorted(got))
+        size += 1
 
 
 # ---------------------------------------------------------------------------
@@ -462,16 +430,11 @@ class BranchResult:
     complete: bool
 
 
-def enumerate_branching(
-    g: Graph,
-    k: int,
-    active: Optional[Iterable[int]] = None,
-    *,
-    budget: int = 2_000_000,
-) -> BranchResult:
-    """Branching enumeration of minimal separators inside the active set.
+def enumerate_branching(g: Graph, k: int, *, budget: int = 2_000_000) -> BranchResult:
+    """Branching enumeration of minimal separators.
 
-    Recursive scheme on (current graph W, active set X inside W):
+    Recursive scheme on (current graph W, active set X inside W), from the
+    root state (V, V):
 
     * X empty: return {empty}.
     * Q = vertices whose closed neighborhood covers at least |X|/(2k) of X.
@@ -484,7 +447,7 @@ def enumerate_branching(
     Every call also seeds its collection with the empty set and with Q; the
     degenerate cases S contained in N(q) and S = Q need them.  The union is a
     superset of every minimal separator contained in X; filtering by
-    is_minimal_separator recovers exactly those.
+    is_minimal_separator recovers exactly those, all of them at the root.
 
     The root's collection is {V - W, (V - W) + Q} over every state (W, X)
     the search enters, so calls return nothing and add those masks to one
@@ -503,9 +466,6 @@ def enumerate_branching(
     if k < 1:
         raise ValueError("k must be at least 1")
     full = g.full_mask()
-    x0 = full if active is None else mask_of(active)
-    if x0 & ~full:
-        raise ValueError("active set out of range")
     nbr = g._nbr
     truncated = False
 
@@ -584,7 +544,7 @@ def enumerate_branching(
         if not truncated:
             finished.add(key)
 
-    rec(full, x0)
+    rec(full, full)
     raw = sorted(set_of(m) for m in collected if m)
     return BranchResult(
         raw=tuple(raw),

@@ -202,13 +202,7 @@ def min_sep_masks_by_subsets(nbr: Sequence[int], wmask: int) -> List[int]:
     return out
 
 
-def branching_by_result_sets(
-    g: Graph,
-    k: int,
-    active: Optional[Iterable[int]] = None,
-    *,
-    budget: int = 2_000_000,
-) -> BranchResult:
+def branching_by_result_sets(g: Graph, k: int, *, budget: int = 2_000_000) -> BranchResult:
     """enumerate_branching with each call returning its own candidate set.
 
     The literal recursive scheme: a call returns {0, Q} plus its children's
@@ -218,7 +212,6 @@ def branching_by_result_sets(
     from the states visited instead; this is the reference it is held to.
     """
     full = g.full_mask()
-    x0 = full if active is None else mask_of(active)
     nbr = g._nbr
     truncated = False
     seps_cache: Dict[int, Set[int]] = {}
@@ -280,7 +273,7 @@ def branching_by_result_sets(
             memo[key] = res
         return res
 
-    raw = sorted(set_of(m) for m in rec(full, x0) if m)
+    raw = sorted(set_of(m) for m in rec(full, full) if m)
     return BranchResult(
         raw=tuple(raw),
         filtered=tuple(s for s in raw if is_minimal_separator(g, s)),

@@ -146,6 +146,15 @@ def test_enum_missing_file(tmp_path, capsys):
     assert code == 2 and "no such file" in err
 
 
+def test_a_directory_given_as_a_graph_file_exits_2(tmp_path, capsys):
+    d = tmp_path / "d"
+    d.mkdir()
+    el = write(tmp_path, "p4.el", "4 3\n0 1\n1 2\n2 3\n")
+    for argv in (("enum", str(d)), ("detect", "subgraph", el, str(d))):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.strip() == f"error: is a directory, not an edge-list file: {d}", err
+
+
 def test_enum_parse_error(tmp_path, capsys):
     el = write(tmp_path, "bad.el", "2 1\n0 7\n")
     code, _, err = run(capsys, "enum", el)

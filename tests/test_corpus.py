@@ -86,9 +86,9 @@ def test_erdos_renyi_is_seed_deterministic():
 
 
 def test_random_connected_corpus():
-    graphs = random_connected_corpus(25, seed=99, n_lo=4, n_hi=9)
+    graphs = random_connected_corpus(25, seed=99)
     assert len(graphs) == 25
     assert all(g.is_connected() for g in graphs)
-    assert all(4 <= g.n <= 9 for g in graphs)
-    again = random_connected_corpus(25, seed=99, n_lo=4, n_hi=9)
+    assert all(4 <= g.n <= 13 for g in graphs)
+    again = random_connected_corpus(25, seed=99)
     assert graphs == again

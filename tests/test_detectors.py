@@ -479,19 +479,15 @@ def test_monotone_subsequence_frozen_example():
 
 
 def test_monotone_subsequence_guarantee():
-    # any sequence of (r-1)(s-1)+1 distinct values has the guaranteed run
+    # Erdos-Szekeres: any (r-1)^2+1 distinct values hold a monotone run of r
     rng = random.Random(9)
     for _ in range(50):
-        r, s = rng.randint(2, 5), rng.randint(2, 5)
-        need = (r - 1) * (s - 1) + 1
-        seq = rng.sample(range(100), need)
-        idx, direction = monotone_subsequence(seq, r, s)
+        r = rng.randint(2, 6)
+        seq = rng.sample(range(100), (r - 1) ** 2 + 1)
+        idx, direction = monotone_subsequence(seq)
         picked = [seq[i] for i in idx]
-        assert list(idx) == sorted(idx)
-        if direction == "increasing":
-            assert len(picked) >= r and picked == sorted(picked)
-        else:
-            assert len(picked) >= s and picked == sorted(picked, reverse=True)
+        assert list(idx) == sorted(idx) and len(picked) >= r
+        assert picked == sorted(picked, reverse=direction == "decreasing")
 
 
 # skinny ladder extraction

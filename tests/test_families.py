@@ -4,6 +4,7 @@ import random
 import pytest
 
 from sepscope.families import (
+    _bundle,
     FAMILY_NAMES,
     FamilySpec,
     StructureWitness,
@@ -89,7 +90,7 @@ def test_ladder_types_verify():
 
 def test_attachment_hulls_must_be_disjoint():
     with pytest.raises(ValueError, match="hulls on L"):
-        ladder_theta(3, l_len=4, attach=((0, 2), (1,), (3,)))
+        _bundle("ladder_theta", 3, None, 4, ((0, 2), (1,), (3,)))
     g, w = ladder(2)
     bad = Graph(g.n, g.edges() + [(w.one("a_1"), w.role_map["L"][1])])
     ok, _ = verify_witness(bad, spec_for("ladder", k=2), w)
@@ -407,9 +408,9 @@ def _pin_cases():
         cases += [ladder_theta(k), ladder_prism(k), ladder(k)]
     cases.append(ladder(1))
     cases.append(ladder(2, (3, 2)))
-    cases.append(ladder_theta(3, (3, 4, 5), 7, ((0, 1), (3,), (5, 6))))
-    cases.append(ladder_prism(3, (2, 3, 2), 6, ((5,), (0, 2), (3,))))
-    cases.append(ladder(3, (2, 3, 4), 6, ((0,), (2, 3), (5,)), 5, ((4,), (0,), (2,))))
+    cases.append(_bundle("ladder_theta", 3, (3, 4, 5), 7, ((0, 1), (3,), (5, 6))))
+    cases.append(_bundle("ladder_prism", 3, (2, 3, 2), 6, ((5,), (0, 2), (3,))))
+    cases.append(_bundle("ladder", 3, (2, 3, 4), 6, ((0,), (2, 3), (5,)), 5, ((4,), (0,), (2,))))
     rng = random.Random(99)
     for fam in ("ladder_theta", "ladder_prism", "ladder"):
         for k in (3, 4):

@@ -2,8 +2,10 @@
 
 No imported name goes unused, no private module-level function in src/
 goes unread by its module, and no public function, class or method in src/
-is read only by tests; src/ defines no exception class beyond the three the
-package needs, and every exponential route names its bound `budget`.
+is read only by tests; no defaulted parameter of a public function or
+method is set only by tests, and no two public classes share a public
+method name; src/ defines no exception class beyond the three the package
+needs, and every exponential route names its bound `budget`.
 """
 
 import ast
@@ -227,3 +229,144 @@ def test_no_public_names_only_tests_read():
     assert not found, "public names only tests read:\n" + "\n".join(found)
     stale = set(PUBLIC_ONLY_FOR_TESTS) - {f.split(": ")[1] for f in flagged}
     assert not stale, f"allow-listed names that something reads: {sorted(stale)}"
+
+
+# defaulted parameters in src/ that only tests set: "name(param)" -> reason
+OPTIONS_ONLY_FOR_TESTS: dict = {}
+
+
+def _calls(tree: ast.Module):
+    """(simple callee name, call node) for each call: f(...) and x.f(...)."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call):
+            f = n.func
+            name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+            if name is not None:
+                yield name, n
+
+
+def _sets(call: ast.Call, positional, offset: int):
+    """Parameter names call sets: its keywords, the positional parameters
+    its arguments fill after the first offset (all of them from a `*args`
+    on), and "**" when it passes `**kwargs`."""
+    got = {k.arg or "**" for k in call.keywords}
+    for i, a in enumerate(call.args):
+        if isinstance(a, ast.Starred):
+            got.update(positional[offset + i:])
+            break
+        got.update(positional[offset + i:offset + i + 1])
+    return got
+
+
+def unset_options(sources):
+    """Defaulted parameters of public functions and methods in the src/
+    files among sources ({path: text}) that no call sets, outside tests/
+    and outside the parameter's own definition.
+
+    A call matches a definition on the callee's simple name (`f(...)` and
+    `x.f(...)` both match `f`) and sets a parameter by keyword, by
+    position (a method's first parameter is bound by the `x.`), or through
+    `*args` (every positional parameter from there on) or `**kwargs`
+    (every parameter).  `budget` is exempt: the CLI passes it to routes it
+    picks at run time.
+    """
+    trees = {path: ast.parse(text) for path, text in sources.items()
+             if not path.startswith("tests/")}
+    calls = [(path, name, call) for path, tree in trees.items() for name, call in _calls(tree)]
+    found = []
+    for path, tree in trees.items():
+        if not path.startswith("src/"):
+            continue
+        for label, node in _public_definitions(tree):
+            if isinstance(node, ast.ClassDef):
+                continue
+            a = node.args
+            positional = [p.arg for p in a.posonlyargs + a.args]
+            defaulted = positional[len(positional) - len(a.defaults):]
+            defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            set_by = set()
+            for other, name, call in calls:
+                inside = other == path and node.lineno <= call.lineno <= node.end_lineno
+                if name == node.name and not inside:
+                    set_by |= _sets(call, positional, 1 if "." in label else 0)
+            found += [f"{path}: {label}({p})" for p in defaulted
+                      if p != "budget" and p not in set_by and "**" not in set_by]
+    return found
+
+
+def test_unset_options_helper_sees_calls_outside_tests():
+    sources = {
+        "src/pkg/graphs.py": (
+            "def f(g, a=1, b=2, *, c=3, d=4, budget=5): return f(g, 1, 2, c=3, d=4)\n"
+            "def spread(g, a=1, b=2): pass\n"
+            "def kw(g, a=1, *, b=2): pass\n"
+            "def star(g, a=1, *, b=2): pass\n"
+            "def _private(g, a=1): pass\n"
+            "def plain(g, a): pass\n"
+            "class Box:\n"
+            "    def m(self, x, y=0, z=0): pass\n"
+        ),
+        "src/pkg/cli.py": (
+            "from .graphs import f, spread, kw, star, Box\n"
+            "f(None, 1, c=3)\n"
+            "spread(None, *args)\n"
+            "kw(None, **opts)\n"
+            "star(*args)\n"
+            "Box().m(1, 2)\n"
+        ),
+        "tests/test_graphs.py": "from pkg.graphs import f\nf(None, 1, 2, d=4)\nBox().m(1, 2, 3)\n",
+        "bench/run.py": "import x\nx.f(None, b=2)\n",
+    }
+    assert unset_options(sources) == [
+        "src/pkg/graphs.py: f(d)",
+        "src/pkg/graphs.py: star(b)",
+        "src/pkg/graphs.py: Box.m(z)",
+    ]
+
+
+def test_no_options_only_tests_set():
+    sources = {
+        str(path.relative_to(ROOT)): path.read_text()
+        for top in ("src", "bench", "demos") for path in sorted((ROOT / top).rglob("*.py"))
+    }
+    flagged = unset_options(sources)
+    found = [f for f in flagged if f.split(": ")[1] not in OPTIONS_ONLY_FOR_TESTS]
+    assert not found, "defaulted parameters only tests set:\n" + "\n".join(found)
+    stale = set(OPTIONS_ONLY_FOR_TESTS) - {f.split(": ")[1] for f in flagged}
+    assert not stale, f"allow-listed parameters that a program call sets: {sorted(stale)}"
+
+
+def shared_method_names(sources):
+    """Public method names that two or more public classes in the src/ files
+    among sources define, each with its "path: Class" owners."""
+    owners = {}
+    for path, text in sources.items():
+        if not path.startswith("src/"):
+            continue
+        for label, _ in _public_definitions(ast.parse(text)):
+            if "." in label:
+                cls, name = label.split(".")
+                owners.setdefault(name, []).append(f"{path}: {cls}")
+    return {name: where for name, where in owners.items() if len(where) > 1}
+
+
+def test_shared_method_names_helper_sees_public_methods_across_classes():
+    sources = {
+        "src/pkg/a.py": (
+            "class A:\n"
+            "    def as_dict(self): pass\n"
+            "    def only_a(self): pass\n"
+            "    def _both(self): pass\n"
+            "class _Hidden:\n"
+            "    def only_a(self): pass\n"
+        ),
+        "src/pkg/b.py": "class B:\n    def as_dict(self): pass\n    def _both(self): pass\n",
+        "bench/c.py": "class C:\n    def only_a(self): pass\n",
+    }
+    assert shared_method_names(sources) == {"as_dict": ["src/pkg/a.py: A", "src/pkg/b.py: B"]}
+
+
+def test_no_public_method_name_in_two_classes():
+    # a read of a shared name counts for both methods in unread_public_names
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))}
+    assert shared_method_names(sources) == {}

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from sepscope.corpus import erdos_renyi, nonisomorphic_graphs
 from sepscope.cli import result_doc
 from sepscope import separators
 from sepscope.families import claw_feral, feral_choice_separators, paw_feral, twisted_ladder
-from sepscope.graphs import BudgetExhausted, Graph, bits
+from sepscope.graphs import BudgetExhausted, Graph, bits, mask_of
 from sepscope.separators import (
     _closure_masks,
     _min_sep_masks_in,
@@ -270,18 +271,17 @@ def test_branching_filters_to_oracle():
 def test_branching_collects_what_result_sets_return():
     # the collected candidates, node and state counts and completeness equal
     # the set-propagating recursion's, complete or cut off by a budget
-    cases = [(g, k, None, b)
+    cases = [(g, k, b)
              for n in range(1, 7) for g in nonisomorphic_graphs(n, connected=True)
              for k in (1, 2, 3) for b in (1, 3, 7, 12, 20, 30, 2_000_000)]
     rng = random.Random(18)
     for _ in range(150):
         g = erdos_renyi(rng.randint(6, 10), 0.35, rng)
-        active = [v for v in range(g.n) if rng.random() < 0.6]
-        cases.append((g, rng.randint(1, 3), active, rng.choice([rng.randint(1, 200), 2_000_000])))
-    cases.append((twisted_ladder(2)[0], 3, None, 5000))
-    for g, k, active, budget in cases:
-        got = enumerate_branching(g, k, active, budget=budget)
-        assert got == branching_by_result_sets(g, k, active, budget=budget), (g.edges(), k, budget)
+        cases.append((g, rng.randint(1, 3), rng.choice([rng.randint(1, 200), 2_000_000])))
+    cases.append((twisted_ladder(2)[0], 3, 5000))
+    for g, k, budget in cases:
+        got = enumerate_branching(g, k, budget=budget)
+        assert got == branching_by_result_sets(g, k, budget=budget), (g.edges(), k, budget)
 
 
 def test_branching_small_k_is_still_sound():
@@ -357,6 +357,37 @@ def test_domination_number_on_path():
     size, hitters = domination_number(g, (0, 1, 2, 3, 4, 5), range(6))
     assert size == 2
     assert set(hitters) and len(hitters) == 2
+
+
+def test_domination_number_matches_brute_force():
+    # every graph on at most 6 vertices and seeded G(n, p) up to n = 11, each
+    # with random targets and candidate subsets; the reference tries every
+    # subset of the candidates in size order
+    rng = random.Random(24)
+    graphs = [g for n in range(1, 7) for g in nonisomorphic_graphs(n)]
+    graphs += [erdos_renyi(rng.randint(7, 11), rng.choice((0.2, 0.35, 0.5)), rng) for _ in range(60)]
+    checked = refused = 0
+    for g in graphs:
+        for _ in range(3):
+            target = [v for v in range(g.n) if rng.random() < 0.6]
+            cands = [v for v in range(g.n) if rng.random() < 0.7]
+            tmask = mask_of(target)
+
+            def covers(x):
+                return tmask & ~g.nbhd_mask(mask_of(x)) & ~mask_of(x) == 0
+
+            want = next((d for d in range(len(cands) + 1)
+                         if any(covers(x) for x in itertools.combinations(cands, d))), None)
+            if want is None:
+                refused += 1
+                with pytest.raises(ValueError, match="not dominable"):
+                    domination_number(g, target, cands)
+                continue
+            checked += 1
+            size, x = domination_number(g, target, cands)
+            assert size == want == len(set(x)), (g.edges(), target, cands)
+            assert set(x) <= set(cands) and covers(x)
+    assert checked > 500 and refused > 50
 
 
 def test_trace_family_and_shattering():
