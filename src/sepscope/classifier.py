@@ -62,7 +62,7 @@ from .families import (
     sampled_ladder_instance,
     theta,
 )
-from .graphs import Graph, bits, flood, mask_of
+from .graphs import Graph, bits, degree_two_runs, mask_of
 
 QUASI_TAME_TYPES = (
     "theta",
@@ -134,42 +134,27 @@ def path_length_cap(h: int) -> int:
 def reduce_degree_two_paths(g: Graph, h: int) -> Graph:
     """Cut every long all-degree-2 induced path to path_length_cap(h) vertices.
 
-    A run is a component of the degree-2 vertices; its anchors are its
-    neighbours.  The longest induced path whose interior lies in a run has
-    P = |run| + |anchors| vertices, less one when the run and its anchors
-    close a cycle: no anchor (the run is a cycle), one hub, or two adjacent
-    anchors.  When P > h + 2, P - (h + 2) consecutive run vertices go and
-    the vertices on either side of them are joined; the kept vertices keep
-    their order.  By path_length_cap no forbidden subgraph on at most h
-    vertices appears.  The cut is the fixpoint of contracting one run edge
-    per round, up to isomorphism: such a contraction changes no degree, so
-    each run shrinks on its own until P = h + 2.  Returns g itself when no
-    run is long.  At h = 0 a cut could join two anchors twice.
+    Runs and anchors are as in degree_two_runs.  The longest induced path
+    whose interior lies in a run has P = |run| + |anchors| vertices, less
+    one when the run and its anchors close a cycle: no anchor (the run is a
+    cycle), one hub, or two adjacent anchors.  When P > h + 2, P - (h + 2)
+    consecutive run vertices go and their two outer neighbours are joined,
+    the rest keeping their order.  By path_length_cap no forbidden subgraph
+    on at most h vertices appears.  The cut is the fixpoint of contracting
+    one run edge per round, up to isomorphism: such a contraction changes
+    no degree, so each run shrinks on its own until P = h + 2.  Returns g
+    itself when no run is long.  At h = 0 a cut could join two anchors twice.
     """
     if h < 1:
         raise ValueError("reduction needs h >= 1")
-    nbr = [g.nbr_mask(v) for v in range(g.n)]
-    deg2 = mask_of(v for v in range(g.n) if nbr[v].bit_count() == 2)
-    rest, dropped, joins = deg2, 0, []
-    while rest:
-        run, reach = flood(nbr, rest & -rest, deg2)
-        rest &= ~run
-        anchors = reach & ~run
-        a = anchors.bit_count()
-        closes = a < 2 or bool(nbr[(anchors & -anchors).bit_length() - 1] & anchors)
-        cut = run.bit_count() + a - closes - path_length_cap(h)
-        if cut <= 0:
-            continue
-        # drop `cut` run vertices in a row, walking away from `before`: an
-        # anchor, or any vertex of a run that is a cycle
-        side = anchors or run
-        before = side & -side
-        step = nbr[before.bit_length() - 1] & run
-        step &= -step
-        for _ in range(cut):
-            dropped |= step
-            step = nbr[step.bit_length() - 1] & ~dropped & ~before
-        joins.append((before.bit_length() - 1, step.bit_length() - 1))
+    dropped, joins = 0, []
+    for run, a, b in degree_two_runs(g._nbr):
+        closes = a is None or a == b or g.has_edge(a, b)
+        cut = len(run) + (a is not None) + (a != b) - closes - path_length_cap(h)
+        if cut > 0:  # drop `cut` run vertices in a row after an anchor, or a cycle's first vertex
+            walk = run if a is None else [a] + run
+            dropped |= mask_of(walk[1:cut + 1])
+            joins.append((walk[0], walk[cut + 1]))
     if not joins:
         return g
     idx = {v: i for i, v in enumerate(bits(g.full_mask() & ~dropped))}

@@ -59,6 +59,39 @@ def flood(nbr: Sequence[int], seed: int, within: int) -> Tuple[int, int]:
     return comp, reach
 
 
+def degree_two_runs(nbr: Sequence[int]) -> List[Tuple[List[int], Optional[int], Optional[int]]]:
+    """Each maximal run of degree-2 vertices in path order, with its anchors.
+
+    A run is a component of the degree-2 vertices.  A path p_1..p_L comes
+    as ([p_1, ..., p_L], a, b), a and b the neighbours of p_1 and p_L off
+    the run (a == b for a hub loop), walked from the lowest anchor (from
+    the lower end if both ends sit on it).  A whole cycle comes as (its
+    vertices, None, None), walked from its lowest vertex to the lower of
+    that vertex's neighbours.
+    """
+    deg2 = mask_of(v for v, m in enumerate(nbr) if m.bit_count() == 2)
+    runs: List[Tuple[List[int], Optional[int], Optional[int]]] = []
+    while deg2:
+        run, reach = flood(nbr, deg2 & -deg2, deg2)
+        deg2 &= ~run
+        anchors = reach & ~run
+        if anchors:
+            start = anchors & -anchors
+            cur = nbr[start.bit_length() - 1] & run
+            cur &= -cur
+        else:
+            cur = run & -run
+            start = nbr[cur.bit_length() - 1]
+            start &= start - 1  # the higher neighbour, so the walk heads for the lower
+        prev, seq = start, []
+        for _ in range(run.bit_count()):
+            v = cur.bit_length() - 1
+            seq.append(v)
+            prev, cur = cur, nbr[v] & ~prev
+        runs.append((seq, start.bit_length() - 1, cur.bit_length() - 1) if anchors else (seq, None, None))
+    return runs
+
+
 def connected_sets(
     nbr: Sequence[int], allowed: int, anchors: int, stop: Optional[Callable[[int], bool]] = None
 ) -> Iterator[Tuple[int, int]]:

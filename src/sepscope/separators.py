@@ -11,7 +11,8 @@ Three independent enumeration routes live here:
   pruning; the reference the other routes are judged against.
 * enumerate_closure: seed with neighborhoods of components around each
   closed vertex neighborhood, then close under the separator expansion step
-  (Berry, Bordat and Cogis, IJFCS 2000).
+  (Berry, Bordat and Cogis, IJFCS 2000), on G with each run of four or more
+  degree-2 vertices cut to three and the separators slid back along it.
 * enumerate_branching: the recursive trace-guided branching procedure for
   graphs whose minimal separators are dominated by k vertices.  Returns a
   superset before filtering; the filtered view equals the oracle on inputs
@@ -26,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .graphs import BudgetExhausted, Graph, bits, connected_sets, flood, mask_of, set_of
+from .graphs import BudgetExhausted, Graph, bits, connected_sets, degree_two_runs, flood, mask_of, set_of
 
 VertexSet = Tuple[int, ...]
 
@@ -247,13 +248,57 @@ def _closure_masks(nbr: Sequence[int], wmask: int, budget: int) -> Set[int]:
 
 
 def enumerate_closure(g: Graph, *, budget: int = 2_000_000) -> List[VertexSet]:
-    """Minimal separators by seeded closure (see _closure_masks).
+    """Minimal separators by seeded closure (see _closure_masks), run on G
+    with each long run of degree-2 vertices cut short.
 
-    The budget counts separators certified; past it the closure raises
-    BudgetExhausted.  Equality with the oracle is part of the acceptance
-    suite.
+    Lemma.  Let p_1..p_L, L >= 3, be a run (see degree_two_runs) with
+    anchors a next to p_1 and b next to p_L, maybe a == b.  A minimal
+    separator S meets the run in no vertex; or in one, p_i, and then so
+    does (S - p_i) + p_j for every j in [1 + [a in S], L - [b in S]]; or in
+    two, and then S = {p_i, p_j}, j >= i + 2, and every such pair is a
+    minimal separator or none is.  Proof: a run vertex in S needs its two
+    neighbours in two S-full components, so no two S-vertices are adjacent
+    and p_1 (p_L) is in S only when a (b) is not.  Between S-vertices p_i,
+    p_j in a row lies a component with neighbourhood {p_i, p_j}, S-full
+    because p_i needs it; so S = {p_i, p_j}, and the component holding a
+    is the other S-full one exactly when it holds b, for every i and j.
+    With p_i alone in S, no component off the run is next to p_i, and the
+    two pieces holding p_{i-1} (or a) and p_{i+1} (or b) change only in
+    run vertices as p_i moves, so which of them are S-full does not move.
+
+    The cut keeps p_1, p_2, p_L of each run with L >= 4 and anchors, and
+    joins p_2 to p_L.  A separator of the cut graph with p_2 then expands
+    to those p_j, one with {p_1, p_L} to every pair; one with p_1 or p_L
+    alone is skipped, as its p_2 twin stands for it.  Each such class has
+    fewer members in the cut graph than in G, so the budget can count the
+    separators returned.
     """
-    return sorted(set_of(m) for m in _closure_masks(g._nbr, g.full_mask(), budget))
+    nbr, wmask = g._nbr, g.full_mask()
+    if list(map(int.bit_count, nbr)).count(2) < 4:
+        return sorted(set_of(m) for m in _closure_masks(nbr, wmask, budget))
+    nbr, runs, out = list(nbr), [], []
+    for run, a, b in degree_two_runs(g._nbr):
+        if len(run) >= 4 and a is not None:
+            p = [1 << v for v in run]
+            nbr[run[1]] |= p[-1]
+            nbr[run[-1]] |= p[1]
+            wmask &= ~mask_of(run[2:-1])
+            runs.append((p, p[0] | p[1] | p[-1], 1 << a, 1 << b))
+    for s in _closure_masks(nbr, wmask, budget):
+        got = [s]
+        for p, kept, ab, bb in runs:
+            hit = s & kept
+            if hit == p[1]:
+                got = [t ^ hit | v for t in got for v in p[bool(s & ab):len(p) - bool(s & bb)]]
+            elif hit == p[0] | p[-1]:
+                got = [x | y for i, x in enumerate(p) for y in p[i + 2:]]
+            elif hit:
+                break
+        else:
+            out += got
+            if len(out) > budget:
+                raise BudgetExhausted(f"closure found more than {budget} separators")
+    return sorted(set_of(m) for m in out)
 
 
 # ---------------------------------------------------------------------------
@@ -368,13 +413,15 @@ def domination_number(
 ) -> Tuple[int, VertexSet]:
     """Smallest X within candidates with target a subset of N[X], exact.
 
-    Iterative deepening on |X| = 0, 1, 2, ...: at each size a depth-first
-    search branches on the uncovered target vertex with the fewest
-    dominators.  Every X that covers the target holds one of that vertex's
-    dominators, so the first size that succeeds is the least.  The budget
-    counts search nodes over all sizes.  Raises ValueError when some target
-    vertex has no dominator among the candidates, BudgetExhausted past the
-    budget.
+    Iterative deepening on |X|: at each size a depth-first search branches
+    on the uncovered target vertex with the fewest dominators.  Every X
+    that covers the target holds one of that vertex's dominators, so the
+    first size that succeeds is the least.  The sizes tried are 1, then a
+    packing bound and up: target vertices with pairwise disjoint dominator
+    sets, picked greedily in ascending order, need one X-vertex each.  The
+    budget counts search nodes over all sizes.  Raises ValueError when some
+    target vertex has no dominator among the candidates, BudgetExhausted
+    past the budget.
     """
     tmask = mask_of(target)
     cover = {c: g.closed_nbr_mask(c) & tmask for c in sorted(set(candidates))}
@@ -400,12 +447,17 @@ def domination_number(
                 return (c,) + got
         return None
 
-    size = 0
-    while True:
-        got = search(tmask, size)
-        if got is not None:
-            return size, tuple(sorted(got))
+    size = 1
+    while (got := search(tmask, size)) is None:
         size += 1
+        if size == 2:
+            taken, packing = set(), 0
+            for ds in dominators.values():
+                if taken.isdisjoint(ds):
+                    taken.update(ds)
+                    packing += 1
+            size = max(size, packing)
+    return size, tuple(sorted(got))
 
 
 # ---------------------------------------------------------------------------

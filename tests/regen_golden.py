@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Dict, List
 
 from sepscope.cli import main
-from sepscope.families import FamilySpec, generate
+from sepscope.families import FamilySpec, claw_feral, generate
 from sepscope.graphs import Graph, format_edge_list
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -46,6 +46,7 @@ def write_inputs(root: Path) -> None:
         "twisted_ladder3.el": _family("twisted_ladder", 3),
         "k4.el": K4,
         "k3.el": K3,
+        "claw_feral1_6.el": claw_feral(1, 6)[0],
         "theta_dir/theta3.el": _family("theta", 3),
         "k3_dir/k3.el": K3,
         "claw_dir/claw.el": CLAW,
@@ -67,6 +68,8 @@ def _cases() -> Dict[str, List[str]]:
             cases[f"enum_branching_k{k}_{stem}"] = ["enum", el, "--algo", "branching", "--k", str(k)]
     for k in (2, 3):
         cases[f"enum_closure_twisted_ladder{k}"] = ["enum", f"twisted_ladder{k}.el", "--algo", "closure"]
+    # four runs of 4 and 10 degree-2 vertices, which the closure cuts to three
+    cases["enum_closure_claw_feral1_6"] = ["enum", "claw_feral1_6.el", "--algo", "closure"]
     cases["enum_branching_k3_budget2000_twisted_ladder2"] = [
         "enum", "twisted_ladder2.el", "--algo", "branching", "--k", "3", "--budget", "2000"]
     for k in range(1, 6):

@@ -8,6 +8,7 @@ from sepscope.graphs import (
     GraphError,
     are_isomorphic,
     connected_sets,
+    degree_two_runs,
     flood,
     format_edge_list,
     mask_of,
@@ -158,6 +159,16 @@ def test_connected_sets_stop_keeps_every_minimal_stopping_set():
         stopping = [m for m in every if stop(m)]
         minimal = [m for m in stopping if not any(o != m and o & ~m == 0 for o in stopping)]
         assert set(minimal) <= set(got)
+
+
+def test_degree_two_runs_walk_from_the_lowest_anchor():
+    # a hub loop 3-4-5 on vertex 0, a path 8-7 from 0 to the leaf 6, and a
+    # triangle 9-10-11 that is a run of its own
+    g = Graph(12, [(0, 1), (0, 3), (3, 4), (4, 5), (0, 5), (0, 8), (7, 8), (6, 7),
+                   (9, 10), (10, 11), (9, 11)])
+    assert degree_two_runs(g._nbr) == [([3, 4, 5], 0, 0), ([8, 7], 0, 6), ([9, 10, 11], None, None)]
+    assert degree_two_runs(Graph(4, [(0, 1), (1, 2), (2, 3)])._nbr) == [([1, 2], 0, 3)]
+    assert degree_two_runs(Graph(5, [(4, 1), (1, 2), (2, 3)])._nbr) == [([2, 1], 3, 4)]
 
 
 def test_edge_list_round_trip():

@@ -8,7 +8,7 @@ from sepscope.corpus import erdos_renyi, nonisomorphic_graphs
 from sepscope.cli import result_doc
 from sepscope import separators
 from sepscope.families import claw_feral, feral_choice_separators, paw_feral, twisted_ladder
-from sepscope.graphs import BudgetExhausted, Graph, bits, mask_of
+from sepscope.graphs import BudgetExhausted, Graph, bits, degree_two_runs, mask_of
 from sepscope.separators import (
     _closure_masks,
     _min_sep_masks_in,
@@ -199,6 +199,61 @@ def test_closure_matches_oracle_on_sparse_graphs_and_subsets():
     assert disconnected > 100 and missed > 800 and unsplit > 1000, (disconnected, missed, unsplit)
 
 
+def graph_with_runs(rng, kind):
+    """A random graph on 1-6 vertices plus one to three runs of 1-7 new
+    degree-2 vertices: subdivided edges, pendant paths, disjoint cycles, hub
+    loops (both ends on one vertex) or paths beside an edge (between two
+    adjacent vertices); at most 17 vertices in all."""
+    g = erdos_renyi(rng.randint(1, 6), rng.choice((0.3, 0.5, 0.8)), rng)
+    n, edges = g.n, set(g.edges())
+    for _ in range(rng.randint(1, 3)):
+        length = rng.randint(2 if kind == "hub" else 1, 7) + 2 * (kind == "cycle")
+        if n + length > 17:
+            break
+        new = list(range(n, n + length))
+        chain = set(zip(new, new[1:]))
+        if kind == "cycle":
+            chain.add((new[0], new[-1]))
+        elif kind == "pendant":
+            chain.add((rng.randrange(n), new[0]))
+        elif kind == "hub":
+            u = rng.randrange(n)
+            chain |= {(u, new[0]), (u, new[-1])}
+        elif edges:
+            u, v = rng.choice(sorted(edges))
+            if kind == "subdivide":
+                edges.discard((u, v))
+            chain |= {(u, new[0]), (v, new[-1])}
+        else:
+            continue
+        edges |= chain
+        n += length
+    return Graph(n, sorted(edges))
+
+
+def test_closure_cuts_long_degree_two_runs():
+    # the closure runs on G with each run of four or more degree-2 vertices
+    # cut to three, then slides each separator's run vertex back along the
+    # run; the budget counts the separators of G
+    rng = random.Random(2611)
+    long_runs = disconnected = 0
+    for kind in ("subdivide", "pendant", "cycle", "hub", "beside"):
+        for _ in range(150):
+            g = graph_with_runs(rng, kind)
+            long_runs += any(len(run) >= 4 and a is not None for run, a, _ in degree_two_runs(g._nbr))
+            disconnected += not g.is_connected()
+            want = enumerate_oracle(g)
+            assert enumerate_closure(g) == want, (kind, g.edges())
+            if want:
+                with pytest.raises(BudgetExhausted):
+                    enumerate_closure(g, budget=len(want) - 1)
+    assert long_runs > 300 and disconnected > 100, (long_runs, disconnected)
+    g, _ = paw_feral(1, 6)
+    assert len(enumerate_closure(g, budget=264)) == 264
+    with pytest.raises(BudgetExhausted):
+        enumerate_closure(g, budget=263)
+
+
 def test_feral_closures_are_pinned():
     # values of the flood-per-(S, x) closure, before components were stored
     g, w = claw_feral(2, 6)
@@ -214,9 +269,11 @@ def test_feral_closures_are_pinned():
 
 
 def test_closure_work_is_pinned(monkeypatch):
-    # flood calls for the closure of claw_feral(2, 6); flooding all of
-    # G - (S + N[x]) for every separator S and x in S made 183,185, and
-    # flooding all of G - S to certify each candidate made 51,222
+    # flood calls for the closure of claw_feral(2, 6), whose ten runs of
+    # 4-10 degree-2 vertices are cut to three each (92 vertices to 38); the
+    # closure on the uncut graph made 32,175, flooding all of G - (S + N[x])
+    # for every separator S and x in S made 183,185, and flooding all of
+    # G - S to certify each candidate made 51,222
     calls = 0
     real = separators.flood
 
@@ -227,7 +284,7 @@ def test_closure_work_is_pinned(monkeypatch):
 
     monkeypatch.setattr(separators, "flood", counting_flood)
     assert len(enumerate_closure(claw_feral(2, 6)[0])) == 19047
-    assert calls == 32175
+    assert calls == 1406
 
 
 def test_closure_budget_on_a_feral_graph():
@@ -357,6 +414,16 @@ def test_domination_number_on_path():
     size, hitters = domination_number(g, (0, 1, 2, 3, 4, 5), range(6))
     assert size == 2
     assert set(hitters) and len(hitters) == 2
+
+
+def test_domination_number_jumps_to_a_packing_bound():
+    # the ten spokes a1_i, b1_i of twisted_ladder(5) have pairwise disjoint
+    # dominator sets, so after |X| = 1 the search goes straight to the
+    # answer in 16 nodes; deepening one size at a time needs 466,041
+    g, w = twisted_ladder(5)
+    assert domination_number(g, w.role_map["S"], range(g.n), budget=20) == (
+        10, (0, 1, 3, 4, 6, 7, 9, 10, 12, 13)
+    )
 
 
 def test_domination_number_matches_brute_force():
