@@ -15,7 +15,7 @@ from sepscope.families import subdivide
 
 def main():
     base = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
-    g = subdivide(base, 40)
+    g, _ = subdivide(base, 40)
     print(f"subdivided K4: n={g.n} m={g.m}")
     h = 6
     reduced = reduce_degree_two_paths(g, h)

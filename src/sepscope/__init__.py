@@ -54,7 +54,6 @@ from .detectors import (
 )
 from .classifier import (
     QUASI_TAME_TYPES,
-    TAME_TYPES,
     ClassificationVerdict,
     ForbiddenFamily,
     classify,

@@ -315,7 +315,7 @@ def criterion_12() -> Row:
         base = erdos_renyi(rng.randint(4, 7), rng.choice((0.3, 0.5)), rng)
         if not base.is_connected() or base.m < 2:
             continue
-        planted = subdivide(base, rng.choice((30, 35)))
+        planted, _ = subdivide(base, rng.choice((30, 35)))
         members = tuple(rng.sample(pool, rng.randint(1, 3)))
         if any(find_induced_subgraph(planted, m).status != ABSENT for m in members):
             fails_pre += 1

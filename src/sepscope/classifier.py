@@ -74,9 +74,6 @@ QUASI_TAME_TYPES = (
     "paw",
 )
 
-# the tame criterion drops the prism-like types and adds cliques
-TAME_TYPES = ("clique", "theta", "ladder_theta", "claw", "paw")
-
 # sampled layouts per ladder type and k, reported under `caps`
 SAMPLE = 64
 
@@ -102,14 +99,6 @@ class ClassificationVerdict:
     k_certificate: int
     evidence: Dict[str, dict] = field(default_factory=dict)
     caps: Dict[str, int] = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "k_certificate": self.k_certificate,
-            "evidence": self.evidence,
-            "caps": self.caps,
-        }
 
 
 def path_length_cap(h: int) -> int:
@@ -163,7 +152,8 @@ def reduce_degree_two_paths(g: Graph, h: int) -> Graph:
 
 
 def _is_complete(g: Graph) -> bool:
-    return all(g.has_edge(u, v) for u in range(g.n) for v in range(u + 1, g.n))
+    # exact: Graph rejects self loops and duplicate edges
+    return g.m == g.n * (g.n - 1) // 2
 
 
 def _contains_member(

@@ -16,6 +16,7 @@ run; the route's docstring gives its unit.
 """
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import inspect
@@ -251,7 +252,7 @@ def cmd_enum(args) -> int:
             "filtered_count": len(res.filtered),
             "nodes": res.nodes,
             "states": res.states,
-            "k": res.k,
+            "k": args.k,
         }
     elapsed = int((time.monotonic() - started) * 1000)
     results = result_doc(g, args.algo, seps, 0 if args.stable_output else elapsed,
@@ -335,7 +336,7 @@ def cmd_classify(args) -> int:
     report = _report(
         "classify", inputs,
         {"kmax": args.kmax, "seed": args.seed, "budget": budget},
-        verdict.as_dict(), verdict.status != "inconclusive", elapsed,
+        dataclasses.asdict(verdict), verdict.status != "inconclusive", elapsed,
         args.stable_output,
     )
     _emit(report, args)

@@ -13,10 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
-from .graphs import BudgetExhausted, Graph, bits, connected_sets, flood, mask_of, set_of
+from .graphs import BudgetExhausted, Graph, VertexSet, bits, connected_sets, flood, mask_of, set_of
 from .families import FamilySpec, StructureWitness, skinny_ladder, verify_witness
-
-VertexSet = Tuple[int, ...]
 
 FOUND = "found"
 ABSENT = "absent_exhaustive"

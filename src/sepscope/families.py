@@ -15,12 +15,16 @@ path order, everything else sorted.  Role name patterns:
 
 Length convention everywhere: the length of a path is its vertex count.
 
+Each family is named once, in the `FAMILIES` table at the end of this
+module: name -> (builder from a FamilySpec, verifier), in FAMILY_NAMES order.
+
 The six path-bundle families (theta, prism, pyramid, ladder_theta,
 ladder_prism, ladder) are defined in one place, the `BUNDLES` table.  Each
 is k paths P_1..P_k of some least length, and each end of the bundle is one
 shared vertex (role a or b), a k-clique (roles a_i or b_i), or private path
 ends a_i or b_i attached to a backbone path (L on the a-end, R on the
-b-end) in pairwise disjoint hulls.  `_bundle` builds all six from the table.
+b-end) in pairwise disjoint hulls.  `_bundle` builds all six from the table;
+a spec without k takes it from its number of path lengths.
 
 `verify_witness` checks every family one way: from the roles, a verifier
 derives pieces that must partition V, the exact edge set the roles imply,
@@ -43,31 +47,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations, product
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .graphs import Graph, mask_of
-
-VertexSet = Tuple[int, ...]
-
-FAMILY_NAMES = (
-    "theta",
-    "prism",
-    "pyramid",
-    "ladder_theta",
-    "ladder_prism",
-    "ladder",
-    "claw",
-    "paw",
-    "long_claw",
-    "long_paw",
-    "skinny_ladder",
-    "almost_skinny_ladder",
-    "twisted_ladder",
-    "claw_feral",
-    "paw_feral",
-    "subdivision",
-)
+from .graphs import Graph, VertexSet, mask_of
 
 
 @dataclass(frozen=True)
@@ -157,7 +141,8 @@ def _hulls_overlap(attach: Sequence[Sequence[int]]) -> bool:
 # the kinds of a bundle end
 _ONE, _CLIQUE, _PATH = "one", "clique", "path"
 
-# family -> (least k, least path length, a-end kind, b-end kind)
+# family -> (least k, least path length, a-end kind, b-end kind); a ladder
+# path's ends are distinct even at length 2 (the shortest bridge is an edge)
 BUNDLES = {
     "theta": (3, 4, _ONE, _ONE),
     "prism": (3, 2, _CLIQUE, _CLIQUE),
@@ -196,7 +181,7 @@ def _bundle(
     """
     min_k, min_len, a_end, b_end = BUNDLES[fam]
     _need(k >= min_k, "%s needs k >= %d", fam, min_k)
-    lengths = (min_len,) * k if lengths is None else tuple(lengths)
+    lengths = tuple(lengths) if lengths else (min_len,) * k
     _need(len(lengths) == k, "%s needs one length per path", fam)
     _need(min(lengths) >= min_len, "%s paths need length >= %d", fam, min_len)
     b = _Builder()
@@ -235,41 +220,27 @@ def _bundle(
 
 def theta(lengths: Sequence[int]) -> Tuple[Graph, StructureWitness]:
     """k internally disjoint anti-complete paths joining a to b, lengths >= 4."""
-    lengths = tuple(lengths)
     return _bundle("theta", len(lengths), lengths)
 
 
 def prism(lengths: Sequence[int]) -> Tuple[Graph, StructureWitness]:
     """Two k-cliques joined by anti-complete paths, lengths >= 2."""
-    lengths = tuple(lengths)
     return _bundle("prism", len(lengths), lengths)
 
 
 def pyramid(lengths: Sequence[int]) -> Tuple[Graph, StructureWitness]:
     """Apex a joined to a k-clique by anti-complete paths, lengths >= 3."""
-    lengths = tuple(lengths)
     return _bundle("pyramid", len(lengths), lengths)
 
 
-def ladder_theta(k: int, lengths: Optional[Sequence[int]] = None) -> Tuple[Graph, StructureWitness]:
+def ladder_theta(k: int) -> Tuple[Graph, StructureWitness]:
     """Backbone path L plus apex b, with k paths from L-attached a_i to b."""
-    return _bundle("ladder_theta", k, lengths)
+    return _bundle("ladder_theta", k)
 
 
-def ladder_prism(k: int, lengths: Optional[Sequence[int]] = None) -> Tuple[Graph, StructureWitness]:
+def ladder_prism(k: int) -> Tuple[Graph, StructureWitness]:
     """Backbone path L plus a k-clique, with paths from L-attached a_i to b_i."""
-    return _bundle("ladder_prism", k, lengths)
-
-
-def ladder(k: int, lengths: Optional[Sequence[int]] = None) -> Tuple[Graph, StructureWitness]:
-    """Two backbone paths L and R bridged by k anti-complete a_i..b_i paths.
-
-    Endpoints are distinct even at length 2 (the shortest bridge is an edge).
-    The backbones have the default layout of `_bundle`; other layouts, with
-    independent a-side and b-side attachment orders, come from
-    sampled_ladder_instance.
-    """
-    return _bundle("ladder", k, lengths)
+    return _bundle("ladder_prism", k)
 
 
 def _sample_hulls(rng: random.Random, order: Sequence[int]) -> Tuple[int, List[List[int]]]:
@@ -296,7 +267,8 @@ def sampled_ladder_instance(
     lengths: Optional[Sequence[int]] = None,
 ) -> Tuple[Graph, StructureWitness]:
     """One random layout of a ladder-type family: backbone lengths, disjoint
-    attachment hulls in shuffled order, and (optionally) random path lengths."""
+    attachment hulls in shuffled order, and (optionally) random path lengths.
+    The ladder's a-side and b-side attachment orders are drawn independently."""
     min_len = BUNDLES[fam][1]
     if lengths is None:
         hi = max_len if max_len is not None else min_len + 3
@@ -315,6 +287,8 @@ def sampled_ladder_instance(
 
 
 def _long(arm: int, paw: bool) -> Tuple[Graph, StructureWitness]:
+    """A long paw (triangle) or long claw (center) with three arm paths of
+    `arm` vertices each from it; a long claw has 3*arm - 2 vertices."""
     _need(arm >= 2, "%s needs arm length >= 2", "long_paw" if paw else "long_claw")
     b = _Builder()
     starts, arms = b.long(arm, paw)
@@ -323,17 +297,6 @@ def _long(arm: int, paw: bool) -> Tuple[Graph, StructureWitness]:
         w.role_map[f"P_{i}"] = tuple(p)
         w.role_map[leaf] = (p[-1],)
     return b.graph(), w
-
-
-def long_claw(arm: int) -> Tuple[Graph, StructureWitness]:
-    """Claw with each edge subdivided: three arm paths of `arm` vertices
-    sharing the center; 3*arm - 2 vertices."""
-    return _long(arm, paw=False)
-
-
-def long_paw(arm: int) -> Tuple[Graph, StructureWitness]:
-    """Triangle with an arm path of `arm` vertices hanging off each corner."""
-    return _long(arm, paw=True)
 
 
 def _copies(k: int, paw: bool) -> Tuple[Graph, StructureWitness]:
@@ -542,13 +505,9 @@ def feral_choice_separators(c: int, w: StructureWitness) -> List[VertexSet]:
 # ---------------------------------------------------------------------------
 
 
-def subdivide(g: Graph, f: int) -> Graph:
-    """Replace each edge by a path on f+1 edges (f new internal vertices)."""
-    sub, _ = subdivide_with_witness(g, f)
-    return sub
-
-
-def subdivide_with_witness(g: Graph, f: int) -> Tuple[Graph, StructureWitness]:
+def subdivide(g: Graph, f: int) -> Tuple[Graph, StructureWitness]:
+    """Replace each edge u < v by a path P_u_v on f+1 edges (f new internal
+    vertices); the base role keeps g's vertices."""
     _need(f >= 0, "f must be nonnegative")
     b = _Builder()
     b.count = g.n
@@ -815,21 +774,6 @@ def _v_subdivision(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[st
     return pieces, edges, []
 
 
-_VERIFIERS = {
-    **{fam: _v_bundle for fam in BUNDLES},
-    "long_claw": lambda g, s, w, o: _v_long(g, s, w, o, paw=False),
-    "long_paw": lambda g, s, w, o: _v_long(g, s, w, o, paw=True),
-    "claw": lambda g, s, w, o: _v_copies(g, s, w, o, paw=False),
-    "paw": lambda g, s, w, o: _v_copies(g, s, w, o, paw=True),
-    "skinny_ladder": lambda g, s, w, o: _v_spokes(g, s, w, o, skinny=True),
-    "almost_skinny_ladder": lambda g, s, w, o: _v_spokes(g, s, w, o, skinny=False),
-    "twisted_ladder": _v_twisted,
-    "claw_feral": lambda g, s, w, o: _v_feral(g, s, w, o, paw=False),
-    "paw_feral": lambda g, s, w, o: _v_feral(g, s, w, o, paw=True),
-    "subdivision": _v_subdivision,
-}
-
-
 def verify_witness(
     g: Graph, spec: FamilySpec, w: StructureWitness
 ) -> Tuple[bool, List[str]]:
@@ -844,8 +788,7 @@ def verify_witness(
     hulls.  Role names the family does not define are ignored, missing ones
     raise.
     """
-    if spec.family not in FAMILY_NAMES:
-        raise ValueError(f"unknown family {spec.family!r}")
+    _, verifier = _family(spec)
     for name, vs in w.role_map.items():
         for v in vs:
             if not (0 <= v < g.n):
@@ -853,48 +796,67 @@ def verify_witness(
     out: List[str] = []
     if mask_of(v for vs in w.role_map.values() for v in vs) != g.full_mask():
         out.append("every vertex lies in some role")
-    design = _VERIFIERS[spec.family](g, spec, w, out)
+    design = verifier(g, spec, w, out)
     if design is not None:
         _ck_design(g, design, out)
     return (not out), out
 
 
 # ---------------------------------------------------------------------------
-# spec dispatch
+# the family table
 # ---------------------------------------------------------------------------
 
 
-def generate(spec: FamilySpec) -> Tuple[Graph, StructureWitness]:
-    fam = spec.family
-    if fam not in FAMILY_NAMES:
-        raise ValueError(f"unknown family {fam!r}")
-    k = spec.k
-    if fam in BUNDLES:
-        if BUNDLES[fam][2] != _PATH:
-            lengths = spec.path_lengths or (BUNDLES[fam][1],) * k
-            return _bundle(fam, k or len(lengths), lengths)
-        if spec.layout_seed is not None:
-            rng = random.Random(spec.layout_seed)
-            return sampled_ladder_instance(fam, k, rng, lengths=spec.path_lengths)
-        if fam == "ladder_theta":
-            return ladder_theta(k, spec.path_lengths)
-        if fam == "ladder_prism":
-            return ladder_prism(k, spec.path_lengths)
-        return ladder(k, spec.path_lengths)
-    if fam in ("claw", "paw"):
-        return paw(k) if fam == "paw" else claw(k)
-    if fam in ("long_claw", "long_paw"):
-        arm = spec.arm_length if spec.arm_length is not None else k
-        return long_paw(arm) if fam == "long_paw" else long_claw(arm)
-    if fam == "skinny_ladder":
-        return skinny_ladder(k)
-    if fam == "almost_skinny_ladder":
-        return almost_skinny_ladder(k, spec.layout_seed)
-    if fam == "twisted_ladder":
-        return twisted_ladder(k)
-    if fam in ("claw_feral", "paw_feral"):
-        _need(spec.c is not None, "%s needs c", fam)
-        arm = spec.arm_length if spec.arm_length is not None else 6
-        return paw_feral(spec.c, arm) if fam == "paw_feral" else claw_feral(spec.c, arm)
+def _spec_bundle(spec: FamilySpec) -> Tuple[Graph, StructureWitness]:
+    """k from spec.k or the number of path lengths; a seeded ladder type is sampled."""
+    k = spec.k or len(spec.path_lengths or ())
+    if spec.layout_seed is not None and BUNDLES[spec.family][2] == _PATH:
+        rng = random.Random(spec.layout_seed)
+        return sampled_ladder_instance(spec.family, k, rng, lengths=spec.path_lengths)
+    return _bundle(spec.family, k, spec.path_lengths)
+
+
+def _spec_long(spec: FamilySpec, paw: bool) -> Tuple[Graph, StructureWitness]:
+    return _long(spec.k if spec.arm_length is None else spec.arm_length, paw)
+
+
+def _spec_feral(spec: FamilySpec, paw: bool) -> Tuple[Graph, StructureWitness]:
+    _need(spec.c is not None, "%s needs c", spec.family)
+    arm = 6 if spec.arm_length is None else spec.arm_length
+    return paw_feral(spec.c, arm) if paw else claw_feral(spec.c, arm)
+
+
+def _spec_subdivision(spec: FamilySpec) -> Tuple[Graph, StructureWitness]:
     _need(spec.base_graph is not None, "subdivision needs base_graph")
-    return subdivide_with_witness(spec.base_graph, k)
+    return subdivide(spec.base_graph, spec.k)
+
+
+# family -> (builder, verifier); the key order is FAMILY_NAMES
+FAMILIES: Dict[str, Tuple[Callable, Callable]] = {
+    **{fam: (_spec_bundle, _v_bundle) for fam in BUNDLES},
+    "claw": (lambda s: claw(s.k), partial(_v_copies, paw=False)),
+    "paw": (lambda s: paw(s.k), partial(_v_copies, paw=True)),
+    "long_claw": (partial(_spec_long, paw=False), partial(_v_long, paw=False)),
+    "long_paw": (partial(_spec_long, paw=True), partial(_v_long, paw=True)),
+    "skinny_ladder": (lambda s: skinny_ladder(s.k), partial(_v_spokes, skinny=True)),
+    "almost_skinny_ladder": (
+        lambda s: almost_skinny_ladder(s.k, s.layout_seed), partial(_v_spokes, skinny=False),
+    ),
+    "twisted_ladder": (lambda s: twisted_ladder(s.k), _v_twisted),
+    "claw_feral": (partial(_spec_feral, paw=False), partial(_v_feral, paw=False)),
+    "paw_feral": (partial(_spec_feral, paw=True), partial(_v_feral, paw=True)),
+    "subdivision": (_spec_subdivision, _v_subdivision),
+}
+
+FAMILY_NAMES = tuple(FAMILIES)
+
+
+def _family(spec: FamilySpec) -> Tuple[Callable, Callable]:
+    """The (builder, verifier) entry of spec.family."""
+    if spec.family not in FAMILIES:
+        raise ValueError(f"unknown family {spec.family!r}")
+    return FAMILIES[spec.family]
+
+
+def generate(spec: FamilySpec) -> Tuple[Graph, StructureWitness]:
+    return _family(spec)[0](spec)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+VertexSet = Tuple[int, ...]
+
 
 class GraphError(ValueError):
     """Raised for malformed graph construction or parse input."""
@@ -35,7 +37,7 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= b
 
 
-def set_of(mask: int) -> Tuple[int, ...]:
+def set_of(mask: int) -> VertexSet:
     return tuple(bits(mask))
 
 

@@ -27,9 +27,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .graphs import BudgetExhausted, Graph, bits, connected_sets, degree_two_runs, flood, mask_of, set_of
-
-VertexSet = Tuple[int, ...]
+from .graphs import (
+    BudgetExhausted, Graph, VertexSet, bits, connected_sets, degree_two_runs, flood, mask_of, set_of,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +478,6 @@ class BranchResult:
     filtered: Tuple[VertexSet, ...]
     nodes: int
     states: int
-    k: int
     complete: bool
 
 
@@ -603,6 +602,5 @@ def enumerate_branching(g: Graph, k: int, *, budget: int = 2_000_000) -> BranchR
         filtered=tuple(s for s in raw if is_minimal_separator(g, s)),
         nodes=nodes,
         states=len(finished),
-        k=k,
         complete=not truncated,
     )

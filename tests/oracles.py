@@ -279,6 +279,5 @@ def branching_by_result_sets(g: Graph, k: int, *, budget: int = 2_000_000) -> Br
         filtered=tuple(s for s in raw if is_minimal_separator(g, s)),
         nodes=nodes,
         states=len(memo),
-        k=k,
         complete=not truncated,
     )

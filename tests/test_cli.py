@@ -10,7 +10,7 @@ import pytest
 import sepscope
 
 from sepscope.cli import build_parser, main
-from sepscope.families import twisted_ladder
+from sepscope.families import FamilySpec, StructureWitness, twisted_ladder, verify_witness
 from sepscope.graphs import Graph, format_edge_list, parse_edge_list
 
 
@@ -61,6 +61,21 @@ def test_gen_rejects_a_length_list_of_another_size_than_k(tmp_path, capsys, monk
     # without --k the list sets the number of paths
     code, _, _ = run(capsys, "gen", "theta", "--len", "4,4,4,4", "--out", "t")
     assert code == 0 and parse_edge_list((tmp_path / "t.el").read_text()).n == 10
+
+
+@pytest.mark.parametrize("fam, lengths", [
+    ("ladder-theta", (3, 4, 3)), ("ladder-prism", (2, 3, 2)), ("ladder", (2, 2)),
+])
+def test_gen_ladder_types_take_k_from_len(tmp_path, capsys, fam, lengths):
+    stem = str(tmp_path / "lad")
+    code, _, err = run(capsys, "gen", fam, "--len", ",".join(map(str, lengths)), "--out", stem)
+    assert code == 0, err
+    g = parse_edge_list((tmp_path / "lad.el").read_text())
+    roles = json.loads((tmp_path / "lad.witness.json").read_text())["roles"]
+    w = StructureWitness({name: tuple(vs) for name, vs in roles.items()})
+    spec = FamilySpec(fam.replace("-", "_"), path_lengths=lengths)
+    # the spec's path lengths make the verifier check one P role per length
+    assert verify_witness(g, spec, w) == (True, [])
 
 
 def test_gen_unknown_family_errors(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from sepscope.families import (
     _bundle,
+    _long,
     FAMILY_NAMES,
     FamilySpec,
     StructureWitness,
@@ -13,11 +14,8 @@ from sepscope.families import (
     claw_feral,
     feral_choice_separators,
     generate,
-    ladder,
     ladder_prism,
     ladder_theta,
-    long_claw,
-    long_paw,
     paw,
     paw_feral,
     prism,
@@ -25,7 +23,6 @@ from sepscope.families import (
     sampled_ladder_instance,
     skinny_ladder,
     subdivide,
-    subdivide_with_witness,
     theta,
     twisted_choice_separators,
     twisted_ladder,
@@ -80,31 +77,40 @@ def test_pyramid_shape():
 
 
 def test_ladder_types_verify():
-    for fam, maker in (("ladder_theta", ladder_theta), ("ladder_prism", ladder_prism),
-                       ("ladder", ladder)):
+    for fam in ("ladder_theta", "ladder_prism", "ladder"):
         for k in (3, 4):
-            g, w = maker(k)
+            g, w = _bundle(fam, k)
             ok, violations = verify_witness(g, spec_for(fam, k=k), w)
             assert ok, f"{fam}(k={k}): {violations}"
+
+
+@pytest.mark.parametrize("fam, lengths", [
+    ("ladder_theta", (3, 4, 3)), ("ladder_prism", (2, 3, 2)), ("ladder", (2, 2)),
+])
+def test_ladder_types_take_k_from_the_path_lengths(fam, lengths):
+    spec = spec_for(fam, path_lengths=lengths)
+    g, w = generate(spec)
+    assert verify_witness(g, spec, w) == (True, [])
+    assert (g, w) == _bundle(fam, len(lengths), lengths)
 
 
 def test_attachment_hulls_must_be_disjoint():
     with pytest.raises(ValueError, match="hulls on L"):
         _bundle("ladder_theta", 3, None, 4, ((0, 2), (1,), (3,)))
-    g, w = ladder(2)
+    g, w = _bundle("ladder", 2)
     bad = Graph(g.n, g.edges() + [(w.one("a_1"), w.role_map["L"][1])])
     ok, _ = verify_witness(bad, spec_for("ladder", k=2), w)
     assert not ok
 
 def test_claw_paw_copies():
     g, _ = claw(3)
-    single, _ = long_claw(3)
+    single, _ = _long(3, paw=False)
     assert g.n == 3 * single.n and g.m == 3 * single.m
     g, _ = paw(2)
-    single, _ = long_paw(2)
+    single, _ = _long(2, paw=True)
     assert g.n == 2 * single.n and g.m == 2 * single.m
     with pytest.raises(ValueError):
-        long_claw(1)
+        _long(1, paw=False)
 
 
 def test_skinny_ladder_shape():
@@ -150,7 +156,7 @@ def test_every_family_generates_and_verifies():
         "subdivision": spec_for("subdivision", k=2,
                                 base_graph=Graph(3, [(0, 1), (1, 2), (0, 2)])),
     }
-    assert set(table) == set(FAMILY_NAMES)
+    assert tuple(table) == FAMILY_NAMES
     for fam, spec in table.items():
         g, w = generate(spec)
         ok, violations = verify_witness(g, spec, w)
@@ -160,6 +166,8 @@ def test_every_family_generates_and_verifies():
 def test_generate_rejects_unknown_family():
     with pytest.raises(ValueError):
         generate(FamilySpec("mystery", k=3))
+    with pytest.raises(ValueError, match="unknown family"):
+        verify_witness(Graph(1, []), FamilySpec("mystery"), StructureWitness({"a": (0,)}))
 
 
 def test_twisted_ladder_counts_are_pinned():
@@ -202,10 +210,10 @@ def test_feral_sizes_and_choice_separators():
 
 def test_subdivision():
     base = Graph(3, [(0, 1), (1, 2), (0, 2)])
-    g = subdivide(base, 2)
+    g, _ = subdivide(base, 2)
     assert g.n == 3 + 3 * 2 and g.m == 3 * 3
-    assert subdivide(base, 0) == base
-    _, w = subdivide_with_witness(base, 1)
+    assert subdivide(base, 0)[0] == base
+    _, w = subdivide(base, 1)
     assert w.role_map["base"] == (0, 1, 2)
 
 
@@ -235,18 +243,18 @@ def test_claw_and_paw_name_themselves_when_k_is_below_two():
 
 def test_subdivision_verifier_rejects_extra_edges():
     tri = Graph(3, [(0, 1), (1, 2), (0, 2)])
-    g, w = subdivide_with_witness(tri, 1)
+    g, w = subdivide(tri, 1)
     inner = w.role_map["P_1_2"][1]
     bad = Graph(g.n, list(g.edges()) + [(0, inner)])
     ok, _ = verify_witness(bad, spec_for("subdivision", k=1, base_graph=tri), w)
     assert not ok
     p3 = Graph(3, [(0, 1), (1, 2)])
-    g, w = subdivide_with_witness(p3, 0)
+    g, w = subdivide(p3, 0)
     bad = Graph(3, [(0, 1), (1, 2), (0, 2)])
     ok, _ = verify_witness(bad, spec_for("subdivision", k=0, base_graph=p3), w)
     assert not ok
     # a subdivided P3 is no subdivision of a triangle or of K4
-    g, w = subdivide_with_witness(p3, 1)
+    g, w = subdivide(p3, 1)
     k4 = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
     assert verify_witness(g, spec_for("subdivision", k=1, base_graph=p3), w) == (True, [])
     assert verify_witness(g, spec_for("subdivision", k=1, base_graph=tri), w) == (
@@ -281,7 +289,7 @@ def test_verifiers_reject_roles_that_do_not_partition_the_graph():
     )
     assert not verify_witness(g, spec_for("claw_feral", c=1, arm_length=3), roles)[0]
     tri = Graph(3, [(0, 1), (1, 2), (0, 2)])
-    g, w = subdivide_with_witness(tri, 1)
+    g, w = subdivide(tri, 1)
     inner = w.role_map["P_0_1"][1]
     for base in ((0, 1, inner), (0, 1, 2, inner)):
         roles = StructureWitness({**w.role_map, "base": base})
@@ -405,9 +413,9 @@ def _pin_cases():
     for lengths in ((3, 3, 3), (3, 4, 5), (4, 3, 3, 3)):
         cases.append(pyramid(lengths))
     for k in (3, 4):
-        cases += [ladder_theta(k), ladder_prism(k), ladder(k)]
-    cases.append(ladder(1))
-    cases.append(ladder(2, (3, 2)))
+        cases += [ladder_theta(k), ladder_prism(k), _bundle("ladder", k)]
+    cases.append(_bundle("ladder", 1))
+    cases.append(_bundle("ladder", 2, (3, 2)))
     cases.append(_bundle("ladder_theta", 3, (3, 4, 5), 7, ((0, 1), (3,), (5, 6))))
     cases.append(_bundle("ladder_prism", 3, (2, 3, 2), 6, ((5,), (0, 2), (3,))))
     cases.append(_bundle("ladder", 3, (2, 3, 4), 6, ((0,), (2, 3), (5,)), 5, ((4,), (0,), (2,))))
@@ -422,7 +430,7 @@ def _pin_cases():
     for k in (2, 3):
         cases += [claw(k), paw(k)]
     for arm in (2, 3, 4):
-        cases += [long_claw(arm), long_paw(arm)]
+        cases += [_long(arm, paw=False), _long(arm, paw=True)]
     cases += [skinny_ladder(k) for k in (1, 2, 3, 4)]
     for k in (1, 3, 4, 9):
         for seed in (None, 0, 1, 7000, 7049):
@@ -431,7 +439,7 @@ def _pin_cases():
     for c, h in ((1, 3), (2, 6)):
         cases += [claw_feral(c, h), paw_feral(c, h)]
     for base in (tri, paw4):
-        cases += [subdivide_with_witness(base, f) for f in (0, 1, 2)]
+        cases += [subdivide(base, f) for f in (0, 1, 2)]
     return cases
 
 

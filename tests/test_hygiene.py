@@ -1,8 +1,9 @@
 """Static checks over the source tree.
 
 No imported name goes unused, no private module-level function in src/
-goes unread by its module, and no public function, class or method in src/
-is read only by tests; no defaulted parameter of a public function or
+goes unread by its module, no public function, class, method or
+module-level constant in src/ is read only by tests (a constant's own
+assignment does not count); no defaulted parameter of a public function or
 method is set only by tests, and no two public classes share a public
 method name; src/ defines no exception class beyond the three the package
 needs, and every exponential route names its bound `budget`.
@@ -153,14 +154,27 @@ def _reads(tree: ast.Module):
             yield n.attr, owner, n.lineno
 
 
-def unread_public_names(sources):
+def _public_constants(tree: ast.Module):
+    """(name, node) for each public name a module-level assignment binds."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                for n in ast.walk(t):
+                    if isinstance(n, ast.Name) and not n.id.startswith("_"):
+                        yield n.id, node
+
+
+def unread_public_names(sources, definitions=_public_definitions):
     """Public definitions in the src/ files among sources ({path: text}) that
     no read outside their own definition reaches.
 
-    A function or class is read by its own module, by a module that imports
-    it from the package (absolutely or relatively) and reads it, or as an
-    attribute of its module (`families.theta`); a method by any attribute
-    load of its name.  __init__.py re-exports do not count.
+    A function, class or constant is read by its own module, by a module
+    that imports it from the package (absolutely or relatively) and reads
+    it, or as an attribute of its module (`families.theta`); a method by any
+    attribute load of its name.  __init__.py re-exports do not count.
+    `definitions` lists a module's candidates, by default its functions,
+    classes and methods.
     """
     trees = {path: ast.parse(text) for path, text in sources.items()
              if not path.endswith("__init__.py")}
@@ -175,11 +189,12 @@ def unread_public_names(sources):
         if not path.startswith("src/"):
             continue
         module = Path(path).stem
-        for label, node in _public_definitions(tree):
+        for label, node in definitions(tree):
             method = "." in label
+            defined = label.split(".")[-1]
 
             def reaches(other, name, owner, line):
-                if name != node.name or (other == path and node.lineno <= line <= node.end_lineno):
+                if name != defined or (other == path and node.lineno <= line <= node.end_lineno):
                     return False
                 if method:
                     return owner is not None
@@ -229,6 +244,36 @@ def test_no_public_names_only_tests_read():
     assert not found, "public names only tests read:\n" + "\n".join(found)
     stale = set(PUBLIC_ONLY_FOR_TESTS) - {f.split(": ")[1] for f in flagged}
     assert not stale, f"allow-listed names that something reads: {sorted(stale)}"
+
+
+def test_unread_public_constants_helper_sees_reads_outside_own_assignment():
+    sources = {
+        "src/pkg/graphs.py": (
+            "USED, _HIDDEN = 1, 2\n"
+            "DEAD = 3\n"
+            "Alias: type = int\n"
+            "LONG = (\n    'a',\n)\n"
+            "BY_MODULE = 4\n"
+            "TABLE = {'x': USED}\n"
+            "def f(): return TABLE\n"
+        ),
+        "src/pkg/__init__.py": "from .graphs import DEAD\n",
+        "src/pkg/cli.py": "from .graphs import Alias\ndef g(x: Alias): pass\n",
+        "bench/run.py": "from sepscope import graphs\ngraphs.BY_MODULE\n",
+    }
+    assert unread_public_names(sources, _public_constants) == [
+        "src/pkg/graphs.py: DEAD",
+        "src/pkg/graphs.py: LONG",
+    ]
+
+
+def test_no_public_constant_goes_unread():
+    sources = {
+        str(path.relative_to(ROOT)): path.read_text()
+        for top in ("src", "bench", "demos") for path in sorted((ROOT / top).rglob("*.py"))
+    }
+    found = unread_public_names(sources, _public_constants)
+    assert not found, "public constants nothing reads:\n" + "\n".join(found)
 
 
 # defaulted parameters in src/ that only tests set: "name(param)" -> reason
