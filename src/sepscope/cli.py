@@ -156,14 +156,8 @@ def cmd_gen(args) -> int:
     if family not in FAMILY_NAMES:
         raise CliError(f"unknown family {args.family!r}; choose from "
                        + ", ".join(n.replace("_", "-") for n in FAMILY_NAMES))
-    base = None
     inputs: Dict[str, str] = {}
-    if family == "subdivision":
-        if not args.base:
-            raise CliError("subdivision needs a base graph file argument")
-        base = _load_graph(args.base, inputs)
-    elif args.base:
-        raise CliError("only the subdivision family takes a base graph file")
+    base = _load_graph(args.base, inputs) if args.base else None
     spec = FamilySpec(
         family,
         k=args.k if args.k is not None else 0,
@@ -187,15 +181,10 @@ def cmd_gen(args) -> int:
     el_path = Path(stem + ".el")
     side_path = Path(stem + ".witness.json")
     _write(el_path, format_edge_list(g, comment=f"{family} n={g.n} m={g.m}"))
+    params = {"k": args.k, "len": args.len, "arm": args.arm, "c": args.c, "seed": args.seed}
     sidecar = {
         "family": family,
-        "params": {
-            "k": args.k,
-            "len": args.len,
-            "arm": args.arm,
-            "c": args.c,
-            "seed": args.seed,
-        },
+        "params": params,
         "n": g.n,
         "m": g.m,
         "roles": {name: list(vs) for name, vs in sorted(w.role_map.items())},
@@ -207,9 +196,7 @@ def cmd_gen(args) -> int:
         inputs[str(p)] = hashlib.sha256(p.read_bytes()).hexdigest()
 
     report = _report(
-        "gen", inputs,
-        {"family": family, "k": args.k, "len": args.len, "arm": args.arm,
-         "c": args.c, "seed": args.seed},
+        "gen", inputs, {"family": family, **params},
         {"n": g.n, "m": g.m, "edge_list": str(el_path), "witness": str(side_path)},
         True, elapsed, args.stable_output,
     )

@@ -16,7 +16,9 @@ path order, everything else sorted.  Role name patterns:
 Length convention everywhere: the length of a path is its vertex count.
 
 Each family is named once, in the `FAMILIES` table at the end of this
-module: name -> (builder from a FamilySpec, verifier), in FAMILY_NAMES order.
+module: name -> (builder from a FamilySpec, verifier, the FamilySpec fields
+the builder reads), in FAMILY_NAMES order.  `generate` rejects a spec that
+sets any other field away from its default.
 
 The six path-bundle families (theta, prism, pyramid, ladder_theta,
 ladder_prism, ladder) are defined in one place, the `BUNDLES` table.  Each
@@ -46,7 +48,7 @@ not grow with k.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import combinations, product
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -286,10 +288,10 @@ def sampled_ladder_instance(
 # ---------------------------------------------------------------------------
 
 
-def _long(arm: int, paw: bool) -> Tuple[Graph, StructureWitness]:
+def _long(arm: Optional[int], paw: bool) -> Tuple[Graph, StructureWitness]:
     """A long paw (triangle) or long claw (center) with three arm paths of
     `arm` vertices each from it; a long claw has 3*arm - 2 vertices."""
-    _need(arm >= 2, "%s needs arm length >= 2", "long_paw" if paw else "long_claw")
+    _need(arm is not None and arm >= 2, "%s needs arm length >= 2", "long_paw" if paw else "long_claw")
     b = _Builder()
     starts, arms = b.long(arm, paw)
     w = StructureWitness({"triangle": tuple(starts)} if paw else {"v": (starts[0],)})
@@ -637,7 +639,7 @@ def _v_long(g: Graph, spec: FamilySpec, w: StructureWitness, out: List[str], paw
     if len(ps) != 3:
         out.append("a branch vertex or triangle and three arm paths")
         return None
-    arm = spec.arm_length if spec.arm_length is not None else (spec.k or len(ps[0]))
+    arm = len(ps[0]) if spec.arm_length is None else spec.arm_length
     return _v_node(w, paw, "triangle" if paw else "v", ("P_1", "P_2", "P_3"), "abc", arm, out)
 
 
@@ -788,7 +790,7 @@ def verify_witness(
     hulls.  Role names the family does not define are ignored, missing ones
     raise.
     """
-    _, verifier = _family(spec)
+    verifier = _family(spec)[1]
     for name, vs in w.role_map.items():
         for v in vs:
             if not (0 <= v < g.n):
@@ -808,16 +810,13 @@ def verify_witness(
 
 
 def _spec_bundle(spec: FamilySpec) -> Tuple[Graph, StructureWitness]:
-    """k from spec.k or the number of path lengths; a seeded ladder type is sampled."""
+    """k from spec.k or the number of path lengths; a seeded spec (only a
+    ladder type reads layout_seed) is sampled."""
     k = spec.k or len(spec.path_lengths or ())
-    if spec.layout_seed is not None and BUNDLES[spec.family][2] == _PATH:
+    if spec.layout_seed is not None:
         rng = random.Random(spec.layout_seed)
         return sampled_ladder_instance(spec.family, k, rng, lengths=spec.path_lengths)
     return _bundle(spec.family, k, spec.path_lengths)
-
-
-def _spec_long(spec: FamilySpec, paw: bool) -> Tuple[Graph, StructureWitness]:
-    return _long(spec.k if spec.arm_length is None else spec.arm_length, paw)
 
 
 def _spec_feral(spec: FamilySpec, paw: bool) -> Tuple[Graph, StructureWitness]:
@@ -831,32 +830,41 @@ def _spec_subdivision(spec: FamilySpec) -> Tuple[Graph, StructureWitness]:
     return subdivide(spec.base_graph, spec.k)
 
 
-# family -> (builder, verifier); the key order is FAMILY_NAMES
-FAMILIES: Dict[str, Tuple[Callable, Callable]] = {
-    **{fam: (_spec_bundle, _v_bundle) for fam in BUNDLES},
-    "claw": (lambda s: claw(s.k), partial(_v_copies, paw=False)),
-    "paw": (lambda s: paw(s.k), partial(_v_copies, paw=True)),
-    "long_claw": (partial(_spec_long, paw=False), partial(_v_long, paw=False)),
-    "long_paw": (partial(_spec_long, paw=True), partial(_v_long, paw=True)),
-    "skinny_ladder": (lambda s: skinny_ladder(s.k), partial(_v_spokes, skinny=True)),
+# family -> (builder, verifier, the FamilySpec fields the builder reads); the
+# key order is FAMILY_NAMES.  A ladder type's backbone layout can be seeded.
+FAMILIES: Dict[str, Tuple[Callable, Callable, Tuple[str, ...]]] = {
+    **{fam: (_spec_bundle, _v_bundle, ("k", "path_lengths", "layout_seed") if a_end == _PATH
+             else ("k", "path_lengths")) for fam, (_, _, a_end, _) in BUNDLES.items()},
+    "claw": (lambda s: claw(s.k), partial(_v_copies, paw=False), ("k",)),
+    "paw": (lambda s: paw(s.k), partial(_v_copies, paw=True), ("k",)),
+    "long_claw": (lambda s: _long(s.arm_length, False), partial(_v_long, paw=False), ("arm_length",)),
+    "long_paw": (lambda s: _long(s.arm_length, True), partial(_v_long, paw=True), ("arm_length",)),
+    "skinny_ladder": (lambda s: skinny_ladder(s.k), partial(_v_spokes, skinny=True), ("k",)),
     "almost_skinny_ladder": (
         lambda s: almost_skinny_ladder(s.k, s.layout_seed), partial(_v_spokes, skinny=False),
+        ("k", "layout_seed"),
     ),
-    "twisted_ladder": (lambda s: twisted_ladder(s.k), _v_twisted),
-    "claw_feral": (partial(_spec_feral, paw=False), partial(_v_feral, paw=False)),
-    "paw_feral": (partial(_spec_feral, paw=True), partial(_v_feral, paw=True)),
-    "subdivision": (_spec_subdivision, _v_subdivision),
+    "twisted_ladder": (lambda s: twisted_ladder(s.k), _v_twisted, ("k",)),
+    "claw_feral": (partial(_spec_feral, paw=False), partial(_v_feral, paw=False), ("c", "arm_length")),
+    "paw_feral": (partial(_spec_feral, paw=True), partial(_v_feral, paw=True), ("c", "arm_length")),
+    "subdivision": (_spec_subdivision, _v_subdivision, ("k", "base_graph")),
 }
 
 FAMILY_NAMES = tuple(FAMILIES)
 
 
-def _family(spec: FamilySpec) -> Tuple[Callable, Callable]:
-    """The (builder, verifier) entry of spec.family."""
+def _family(spec: FamilySpec) -> Tuple[Callable, Callable, Tuple[str, ...]]:
+    """The (builder, verifier, fields read) entry of spec.family."""
     if spec.family not in FAMILIES:
         raise ValueError(f"unknown family {spec.family!r}")
     return FAMILIES[spec.family]
 
 
 def generate(spec: FamilySpec) -> Tuple[Graph, StructureWitness]:
-    return _family(spec)[0](spec)
+    """Build spec's family instance.  Raises ValueError for an unknown family,
+    or when spec sets a field the family does not read."""
+    build, _, reads = _family(spec)
+    unread = [f.name for f in fields(FamilySpec)[1:]
+              if f.name not in reads and getattr(spec, f.name) != f.default]
+    _need(not unread, "%s does not take %s", spec.family, ", ".join(unread))
+    return build(spec)

@@ -58,13 +58,6 @@ def is_minimal_separator(g: Graph, s: Iterable[int]) -> bool:
     return _is_min_sep_in(g._nbr, g.full_mask(), smask)
 
 
-def _component_of(g: Graph, v: int, smask: int) -> Optional[int]:
-    """Mask of v's component in g-S, or None if v is in S."""
-    if smask >> v & 1:
-        return None
-    return flood(g._nbr, 1 << v, g.full_mask() & ~smask)[0]
-
-
 def _uv_separator_fault(g: Graph, smask: int, u: int, v: int) -> Optional[str]:
     """Why S is not a minimal u,v-separator, or None when it is one.
 
@@ -156,6 +149,12 @@ def _closure_masks(nbr: Sequence[int], wmask: int, budget: int) -> Set[int]:
       one component, whose N lies in S + H and is read off the vertices'
       masks without a flood.  In particular P is not flooded at all when
       only one of its vertices is adjacent to H.
+    * a component of P that is one vertex z offers no new candidate.  Every
+      D-neighbour of z lies in N(x).  Let D' be another S-full component:
+      x is next to D', and N[z] misses both, so the component C of
+      G[W] - N[z] holding x contains D'.  Then N(C) = N(z), as each
+      S-vertex next to z is next to D' and each other one is next to x;
+      the seed at v = z tried N(C) before any expansion.
 
     Candidates already tried are skipped.  The budget counts
     separators certified; certifying one more raises BudgetExhausted.
@@ -213,31 +212,27 @@ def _closure_masks(nbr: Sequence[int], wmask: int, budget: int) -> Set[int]:
         for _, nx in sverts:
             for d in wide:
                 p = d & ~nx
-                if p & (p - 1):
-                    h = d & nx
-                    if h & (h - 1):
-                        near = 0
-                        hs = h
-                        while hs:
-                            hb = hs & -hs
-                            near |= nbr[hb.bit_length() - 1]
-                            hs ^= hb
-                        near &= p
-                    else:
-                        near = nbr[h.bit_length() - 1] & p
-                    while near & (near - 1):
-                        comp, reach = flood(nbr, near & -near, p)
-                        p &= ~comp
-                        near &= ~comp
-                        cand = reach & wmask & ~comp
-                        if cand not in seen:
-                            pending.append((cand, comp))
                 if not p & (p - 1):
-                    if p:
-                        cand = nbr[p.bit_length() - 1] & wmask
-                        if cand not in seen:
-                            pending.append((cand, p))
+                    continue  # at most one vertex, so no new candidate (see above)
+                h = d & nx
+                if h & (h - 1):
+                    near = 0
+                    hs = h
+                    while hs:
+                        hb = hs & -hs
+                        near |= nbr[hb.bit_length() - 1]
+                        hs ^= hb
+                    near &= p
                 else:
+                    near = nbr[h.bit_length() - 1] & p
+                while near & (near - 1):
+                    comp, reach = flood(nbr, near & -near, p)
+                    p &= ~comp
+                    near &= ~comp
+                    cand = reach & wmask & ~comp
+                    if cand not in seen:
+                        pending.append((cand, comp))
+                if p & (p - 1):
                     # the last component; only its vertex in near touches H
                     cand = nbr[near.bit_length() - 1] & h
                     for vb, nv in sverts:
@@ -316,12 +311,11 @@ def close_separator(g: Graph, u: int, v: int) -> VertexSet:
         raise ValueError("u and v must differ")
     if g.has_edge(u, v):
         raise ValueError("u and v must be non-adjacent")
-    cu = _component_of(g, u, 0)
-    if cu is None or not (cu >> v & 1):
+    nbr, full = g._nbr, g.full_mask()
+    if not flood(nbr, 1 << u, full)[0] >> v & 1:
         raise ValueError("u and v must lie in the same component")
-    comp = _component_of(g, u, g.closed_nbr_mask(v))
-    assert comp is not None
-    smask = g.nbhd_mask(comp)
+    comp, reach = flood(nbr, 1 << u, full & ~g.closed_nbr_mask(v))
+    smask = reach & ~comp
     fault = _uv_separator_fault(g, smask, u, v)
     if fault:
         raise ValueError(fault)
@@ -336,9 +330,9 @@ def separator_leq(g: Graph, s1: Iterable[int], s2: Iterable[int], u: int, v: int
         fault = _uv_separator_fault(g, m, u, v)
         if fault:
             raise ValueError(fault)
-    c1 = _component_of(g, u, m1)
-    c2 = _component_of(g, u, m2)
-    assert c1 is not None and c2 is not None
+    nbr, full = g._nbr, g.full_mask()
+    c1 = flood(nbr, 1 << u, full & ~m1)[0]
+    c2 = flood(nbr, 1 << u, full & ~m2)[0]
     return c1 & ~c2 == 0
 
 

@@ -78,6 +78,38 @@ def test_gen_ladder_types_take_k_from_len(tmp_path, capsys, fam, lengths):
     assert verify_witness(g, spec, w) == (True, [])
 
 
+def test_gen_subdivision_round_trips_through_verify_witness(tmp_path, capsys):
+    base_graph = Graph(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
+    base = write(tmp_path, "base.el", format_edge_list(base_graph))
+    stem = str(tmp_path / "sub")
+    doc = run_json(capsys, "gen", "subdivision", base, "--k", "2", "--out", stem, "--json")
+    g = parse_edge_list((tmp_path / "sub.el").read_text())
+    assert (g.n, g.m) == (4 + 4 * 2, 4 * 3)
+    sidecar = json.loads((tmp_path / "sub.witness.json").read_text())
+    w = StructureWitness({name: tuple(vs) for name, vs in sidecar["roles"].items()})
+    assert verify_witness(g, FamilySpec("subdivision", k=2, base_graph=base_graph), w) == (True, [])
+    # the sidecar's params are the report's config, less the family
+    assert sidecar["params"] == {"k": 2, "len": None, "arm": None, "c": None, "seed": None}
+    assert doc["config"] == {"family": "subdivision", **sidecar["params"]}
+    assert base in doc["inputs"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("twisted-ladder", "--k", "2", "--len", "9,9", "--arm", "4", "--c", "3"),
+     "twisted_ladder does not take path_lengths, arm_length, c"),
+    (("theta", "--k", "3", "--seed", "5"), "theta does not take layout_seed"),
+    (("theta", "{base}", "--k", "3"), "theta does not take base_graph"),
+    (("subdivision", "--k", "2"), "subdivision needs base_graph"),
+    (("long-claw", "--k", "3"), "long_claw does not take k"),
+])
+def test_gen_rejects_an_option_the_family_does_not_read(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    base = write(tmp_path, "base.el", "2 1\n0 1\n")
+    code, out, err = run(capsys, "gen", *(a.format(base=base) for a in argv))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["base.el"]
+
+
 def test_gen_unknown_family_errors(tmp_path, capsys):
     code, _, err = run(capsys, "gen", "moebius", "--k", "3")
     assert code == 2
@@ -287,6 +319,28 @@ def test_out_of_range_options_exit_2(tmp_path, capsys, argv, message):
     p4 = write(tmp_path, "p4.el", "4 3\n0 1\n1 2\n2 3\n")
     code, out, err = run(capsys, *(a.format(p4=p4) for a in argv))
     assert (code, out) == (2, "") and f"error: {message}" in err, err
+
+
+P4 = "4 3\n0 1\n1 2\n2 3\n"
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    ("", ("enum", "{el}"), "{el}: empty edge-list document"),
+    ("a 1\n0 1\n", ("enum", "{el}"), "{el}: line 1: non-integer header"),
+    ("3 -1\n", ("enum", "{el}"), "{el}: negative header values"),
+    ("3 2\n0 1\n", ("enum", "{el}"), "{el}: expected 2 edge lines, found 1"),
+    ("3 1\n0 1 2\n", ("enum", "{el}"), "{el}: line 2: edge line must be 'u v'"),
+    ("3 1\n0 x\n", ("enum", "{el}"), "{el}: line 2: non-integer endpoint"),
+    ("3 1\n1 1\n", ("enum", "{el}"), "{el}: line 2: self loop 1"),
+    ("3 2\n0 1\n1 0\n", ("enum", "{el}"), "{el}: duplicate edge in edge list"),
+    (P4, ("detect", "creature", "{el}"), "detect creature needs --k"),
+    (P4, ("detect", "cycle", "{el}"), "detect cycle needs --r"),
+    (P4, ("classify", "{el}"), "not a directory: {el}"),
+])
+def test_malformed_input_exits_2_with_its_message(tmp_path, capsys, text, argv, message):
+    el = write(tmp_path, "g.el", text)
+    code, out, err = run(capsys, *(a.format(el=el) for a in argv))
+    assert (code, out, err) == (2, "", f"error: {message.format(el=el)}\n")
 
 
 def test_classify_empty_directory_errors(tmp_path, capsys):

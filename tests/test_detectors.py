@@ -1,6 +1,9 @@
 import hashlib
 import itertools
 import random
+from dataclasses import replace
+
+import pytest
 
 from sepscope.corpus import erdos_renyi, nonisomorphic_graphs
 import sepscope.detectors
@@ -257,6 +260,61 @@ def test_validators_report_unreadable_witnesses_instead_of_raising():
         assert validate_minor_witness(p4, k2, MinorWitness(sets)) == ["branch sets inside V(G)"]
     twice = MinorWitness(((0, (0,)), (1, (1,)), (1, (3,))))
     assert validate_minor_witness(p4, k2, twice) == ["branch sets must cover V(H) exactly"]
+
+
+def _edited(g, add=(), drop=(), n=None):
+    """g with the pairs in add joined and those in drop cut, on n vertices."""
+    add, drop = ({(min(e), max(e)) for e in es} for es in (add, drop))
+    return Graph(g.n if n is None else n, (set(g.edges()) | add) - drop)
+
+
+# clause -> (graph, witness) breaking that clause alone of a valid creature
+# witness (g, w); x_1, y_1 and y_2 are the rows' first entries
+CREATURE_MUTANTS = {
+    "A and B nonempty": lambda g, w: (g, replace(w, a_side=())),
+    "G[A] and G[B] connected": lambda g, w: (_edited(g, n=g.n + 1), replace(w, a_side=w.a_side + (g.n,))),
+    "A anti-complete with B": lambda g, w: (_edited(g, add=[(w.a_side[0], w.b_side[0])]), w),
+    "x_1y_1 is an edge": lambda g, w: (_edited(g, drop=[(w.x_row[0], w.y_row[0])]), w),
+    "x_1 has a neighbor in A": lambda g, w: (_edited(g, drop=[(w.x_row[0], a) for a in w.a_side]), w),
+    "x_1 anti-complete with B": lambda g, w: (_edited(g, add=[(w.x_row[0], w.b_side[0])]), w),
+    "y_1 has a neighbor in B": lambda g, w: (_edited(g, drop=[(w.y_row[0], b) for b in w.b_side]), w),
+    "y_1 anti-complete with A": lambda g, w: (_edited(g, add=[(w.y_row[0], w.a_side[0])]), w),
+    "x_i y_j edge only when i = j": lambda g, w: (_edited(g, add=[(w.x_row[0], w.y_row[1])]), w),
+}
+
+
+@pytest.mark.parametrize("clause", list(CREATURE_MUTANTS))
+def test_validate_creature_names_the_one_broken_clause(clause):
+    g, _ = twisted_ladder(2)
+    w = find_creature(g, 4).witness
+    assert validate_creature(g, w) == []
+    assert validate_creature(*CREATURE_MUTANTS[clause](g, w)) == [clause]
+
+
+def _k4_in_prism():
+    """A K4 model in the triangular prism: each a_i alone, and the b-clique."""
+    g, roles = prism((2, 2, 2))
+    a = [roles.one(f"a_{i}") for i in (1, 2, 3)]
+    b = tuple(sorted(roles.one(f"b_{i}") for i in (1, 2, 3)))
+    k4 = Graph(4, list(itertools.combinations(range(4), 2)))
+    return g, k4, [(i, (v,)) for i, v in enumerate(a)] + [(3, b)]
+
+
+def test_validate_minor_witness_names_the_one_broken_clause():
+    g, k4, sets = _k4_in_prism()
+    assert validate_minor_witness(g, k4, MinorWitness(tuple(sets))) == []
+    k4_k1 = Graph(5, k4.edges())
+    (a1,), (a2,) = sets[0][1], sets[1][1]
+    rung = next(v for v in sets[3][1] if g.has_edge(a1, v))
+    cases = {
+        "branch set 4 empty": (g, k4_k1, sets + [(4, ())]),
+        "branch sets pairwise disjoint": (g, k4, [(0, (a1, rung))] + sets[1:]),
+        "branch set 4 not connected": (_edited(g, n=g.n + 2), k4_k1, sets + [(4, (g.n, g.n + 1))]),
+        "H edge 01 has no G edge between branch sets": (_edited(g, drop=[(a1, a2)]), k4, sets),
+        "H non-edge 01 has a G edge between branch sets": (g, _edited(k4, drop=[(0, 1)]), sets),
+    }
+    for clause, (host, h, bs) in cases.items():
+        assert validate_minor_witness(host, h, MinorWitness(tuple(bs))) == [clause]
 
 
 # induced subgraphs

@@ -1,11 +1,14 @@
 import hashlib
 import random
+from dataclasses import fields, replace
+from itertools import product
 
 import pytest
 
 from sepscope.families import (
     _bundle,
     _long,
+    FAMILIES,
     FAMILY_NAMES,
     FamilySpec,
     StructureWitness,
@@ -136,31 +139,66 @@ def test_almost_skinny_layouts_verify():
     assert canonical == plain
 
 
+# one valid spec per family, in FAMILY_NAMES order
+VALID_SPECS = {
+    "theta": spec_for("theta", k=3),
+    "prism": spec_for("prism", k=3),
+    "pyramid": spec_for("pyramid", k=3),
+    "ladder_theta": spec_for("ladder_theta", k=3),
+    "ladder_prism": spec_for("ladder_prism", k=3),
+    "ladder": spec_for("ladder", k=3),
+    "claw": spec_for("claw", k=2),
+    "paw": spec_for("paw", k=2),
+    "long_claw": spec_for("long_claw", arm_length=3),
+    "long_paw": spec_for("long_paw", arm_length=3),
+    "skinny_ladder": spec_for("skinny_ladder", k=3),
+    "almost_skinny_ladder": spec_for("almost_skinny_ladder", k=3, layout_seed=5),
+    "twisted_ladder": spec_for("twisted_ladder", k=2),
+    "claw_feral": spec_for("claw_feral", c=2),
+    "paw_feral": spec_for("paw_feral", c=2),
+    "subdivision": spec_for("subdivision", k=2,
+                            base_graph=Graph(3, [(0, 1), (1, 2), (0, 2)])),
+}
+
+
 def test_every_family_generates_and_verifies():
-    table = {
-        "theta": spec_for("theta", k=3),
-        "prism": spec_for("prism", k=3),
-        "pyramid": spec_for("pyramid", k=3),
-        "ladder_theta": spec_for("ladder_theta", k=3),
-        "ladder_prism": spec_for("ladder_prism", k=3),
-        "ladder": spec_for("ladder", k=3),
-        "claw": spec_for("claw", k=2),
-        "paw": spec_for("paw", k=2),
-        "long_claw": spec_for("long_claw", arm_length=3),
-        "long_paw": spec_for("long_paw", arm_length=3),
-        "skinny_ladder": spec_for("skinny_ladder", k=3),
-        "almost_skinny_ladder": spec_for("almost_skinny_ladder", k=3, layout_seed=5),
-        "twisted_ladder": spec_for("twisted_ladder", k=2),
-        "claw_feral": spec_for("claw_feral", c=2),
-        "paw_feral": spec_for("paw_feral", c=2),
-        "subdivision": spec_for("subdivision", k=2,
-                                base_graph=Graph(3, [(0, 1), (1, 2), (0, 2)])),
-    }
-    assert tuple(table) == FAMILY_NAMES
-    for fam, spec in table.items():
+    assert tuple(VALID_SPECS) == FAMILY_NAMES
+    for fam, spec in VALID_SPECS.items():
         g, w = generate(spec)
         ok, violations = verify_witness(g, spec, w)
         assert ok, f"{fam}: {violations}"
+
+
+# a value other than the default for each FamilySpec field but the family
+FIELD_VALUES = {"k": 3, "path_lengths": (4, 4, 4), "arm_length": 3, "c": 2,
+                "base_graph": Graph(2, [(0, 1)]), "layout_seed": 1}
+
+
+def test_every_family_reads_only_spec_fields():
+    assert [f.name for f in fields(FamilySpec)] == ["family", *FIELD_VALUES]
+    for fam, (_, _, reads) in FAMILIES.items():
+        assert reads and set(reads) <= set(FIELD_VALUES), fam
+
+
+@pytest.mark.parametrize("fam, name", list(product(FAMILY_NAMES, FIELD_VALUES)))
+def test_generate_rejects_each_field_its_family_does_not_read(fam, name):
+    spec = replace(VALID_SPECS[fam], **{name: FIELD_VALUES[name]})
+    if name not in FAMILIES[fam][2]:
+        with pytest.raises(ValueError, match=f"^{fam} does not take {name}$"):
+            generate(spec)
+        return
+    try:
+        generate(spec)
+    except ValueError as exc:
+        assert "does not take" not in str(exc)
+
+
+def test_generate_names_every_field_it_rejects():
+    spec = FamilySpec("twisted_ladder", k=2, path_lengths=(9, 9), arm_length=4, c=3)
+    with pytest.raises(ValueError, match="^twisted_ladder does not take path_lengths, arm_length, c$"):
+        generate(spec)
+    with pytest.raises(ValueError, match="^long_claw needs arm length >= 2$"):
+        generate(FamilySpec("long_claw"))
 
 
 def test_generate_rejects_unknown_family():
