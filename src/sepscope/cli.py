@@ -7,8 +7,9 @@ Every subcommand assembles the same report envelope:
 
 dumped with sorted keys so runs are byte-identical for identical inputs.
 Outcomes are data, not errors: found, absent and a run-out budget
-(`complete: false`) all exit 0.  Exit code 2 means malformed input or an
-out-of-range option only; verify exits 1 when a criterion fails.
+(`complete: false`) all exit 0.  Exit code 2 means malformed input, an
+out-of-range option, or an option the family, kind or route would ignore;
+verify exits 1 when a criterion fails.
 --stable-output zeroes elapsed_ms for diff-friendly golden files.
 
 A budget is --budget, else the keyword-only `budget` default of the route
@@ -21,6 +22,7 @@ import functools
 import hashlib
 import inspect
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -52,6 +54,19 @@ def _budget(args, route) -> int:
             raise CliError("--budget must be nonnegative")
         return args.budget
     return inspect.unwrap(route).__kwdefaults__["budget"]
+
+
+# argparse dest -> what the user typed, for the optional inputs of detect and enum
+_INPUT_LABELS = {"pattern": "a pattern graph file", "k": "--k", "r": "--r"}
+
+
+def _refuse_unread(args, command: str, reads: Sequence[str]) -> None:
+    """CliError naming each optional input that args sets but command does
+    not read."""
+    unread = [label for dest, label in _INPUT_LABELS.items()
+              if dest not in reads and getattr(args, dest, None) is not None]
+    if unread:
+        raise CliError(f"{command} does not take " + ", ".join(unread))
 
 
 def _load_graph(path: str, digests: Dict[str, str]) -> Graph:
@@ -151,6 +166,12 @@ def _parse_lengths(text: Optional[str]):
         raise CliError(f"--len expects a comma-separated integer list, got {text!r}")
 
 
+# FamilySpec field -> the gen option that sets it, for generate's messages
+_GEN_OPTIONS = {"k": "--k", "path_lengths": "--len", "arm_length": "--arm", "c": "--c",
+                "layout_seed": "--seed", "base_graph": "a base graph file"}
+_GEN_FIELD = re.compile(r"\b(%s)\b" % "|".join(_GEN_OPTIONS))
+
+
 def cmd_gen(args) -> int:
     family = args.family.replace("-", "_")
     if family not in FAMILY_NAMES:
@@ -160,7 +181,7 @@ def cmd_gen(args) -> int:
     base = _load_graph(args.base, inputs) if args.base else None
     spec = FamilySpec(
         family,
-        k=args.k if args.k is not None else 0,
+        k=args.k,
         path_lengths=_parse_lengths(args.len),
         arm_length=args.arm,
         c=args.c,
@@ -171,7 +192,7 @@ def cmd_gen(args) -> int:
     try:
         g, w = generate(spec)
     except ValueError as exc:
-        raise CliError(str(exc))
+        raise CliError(_GEN_FIELD.sub(lambda m: _GEN_OPTIONS[m[1]], str(exc)))
     ok, violations = verify_witness(g, spec, w)
     if not ok:
         raise CliError("generator produced an invalid witness: " + "; ".join(violations))
@@ -214,6 +235,7 @@ def cmd_gen(args) -> int:
 
 def cmd_enum(args) -> int:
     inputs: Dict[str, str] = {}
+    _refuse_unread(args, f"enum --algo {args.algo}", ("k",) if args.algo == "branching" else ())
     g = _load_graph(args.graph, inputs)
     started = time.monotonic()
     extra = {}
@@ -258,7 +280,12 @@ def cmd_enum(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# what each detect kind reads besides the host graph and --budget
+_DETECT_READS = {"creature": ("k",), "subgraph": ("pattern",), "minor": ("pattern",), "cycle": ("r",)}
+
+
 def cmd_detect(args) -> int:
+    _refuse_unread(args, f"detect {args.kind}", _DETECT_READS[args.kind])
     inputs: Dict[str, str] = {}
     g = _load_graph(args.graph, inputs)
     started = time.monotonic()

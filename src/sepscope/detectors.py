@@ -245,7 +245,7 @@ def find_induced_minor(g: Graph, h: Graph, *, budget: int = 2_000_000) -> Search
     edges between sets exactly where h has edges; unassigned g-vertices are
     deleted.  A branch set is drawn from the allowed region: the g-vertices
     in no earlier set and next to no earlier set of an h-non-neighbour.
-    Three prunes cut the search, none of which loses a model:
+    Four prunes cut the search, none of which loses a model:
 
     - Connectivity order: h-vertices are placed most placed h-neighbours
       first, then higher degree, then lower id (find_induced_subgraph's
@@ -262,6 +262,17 @@ def find_induced_minor(g: Graph, h: Graph, *, budget: int = 2_000_000) -> Search
       every model can have its sets reordered within each class by their
       lowest g-vertex.  Hence u's set must start above the lowest vertex of
       the set of the twin placed just before it.
+    - Free-neighbour count (Hall's condition): at each node, for every
+      placed set B_t whose h-vertex has c > 0 unplaced h-neighbours e, let
+      room = N(B_t) & free, free being the g-vertices in no placed set.
+      For each e, room minus N(B_j) over the placed j not h-adjacent to e
+      must be nonempty, and the union of those c sets must hold at least c
+      vertices; otherwise the node has no completion.  In any completion
+      each B_e lies in free, touches B_t and misses N(B_j) for those j, so
+      it holds a vertex of its set; the B_e are pairwise disjoint, so they
+      hold c distinct vertices of the union.  The prune cuts only subtrees
+      that hold no model and leaves the depth-first order as it was, so
+      every status and witness is the one the search without it gives.
 
     Every branch set tried costs one node of the budget.
     """
@@ -271,8 +282,9 @@ def find_induced_minor(g: Graph, h: Graph, *, budget: int = 2_000_000) -> Search
         return SearchVerdict(ABSENT, None, 0)
     hn, hnbr, gnbr = h.n, h._nbr, g._nbr
     order, steps = _pattern_plan(hnbr)
-    # per depth: earlier depths adjacent, earlier depths not adjacent, and
-    # the latest earlier depth holding a twin (-1 for none)
+    # per depth: earlier depths adjacent, earlier depths not adjacent, the
+    # latest earlier depth holding a twin (-1 for none), and the count prune's
+    # (t, per unplaced h-neighbour e of t: the earlier depths not adjacent to e)
     plan = []
     for d, (_, adj, non) in enumerate(steps):
         u = order[d]
@@ -281,7 +293,13 @@ def find_induced_minor(g: Graph, h: Graph, *, budget: int = 2_000_000) -> Search
              if hnbr[u] & ~(1 << order[j]) == hnbr[order[j]] & ~(1 << u)),
             -1,
         )
-        plan.append((adj, non, twin))
+        hall = []
+        for t in range(d):
+            outs = tuple(tuple(j for j in steps[e][2] if j < d)
+                         for e in range(d, hn) if hnbr[order[t]] >> order[e] & 1)
+            if outs:
+                hall.append((t, outs))
+        plan.append((adj, non, twin, hall))
     sets = [0] * hn  # branch set per depth
     nbhd = [0] * hn  # its neighbourhood
     nodes = 0
@@ -290,9 +308,21 @@ def find_induced_minor(g: Graph, h: Graph, *, budget: int = 2_000_000) -> Search
         nonlocal nodes
         if d == hn:
             return True
-        adj, non, twin = plan[d]
+        adj, non, twin, hall = plan[d]
         if free.bit_count() < hn - d:
             return False
+        for t, outs in hall:
+            room = nbhd[t] & free
+            union = 0
+            for js in outs:
+                part = room
+                for j in js:
+                    part &= ~nbhd[j]
+                if not part:
+                    return False
+                union |= part
+            if union.bit_count() < len(outs):
+                return False
         allowed = free
         for j in non:
             allowed &= ~nbhd[j]

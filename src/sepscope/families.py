@@ -59,7 +59,7 @@ from .graphs import Graph, VertexSet, mask_of
 @dataclass(frozen=True)
 class FamilySpec:
     family: str
-    k: int = 0
+    k: Optional[int] = None
     path_lengths: Optional[Tuple[int, ...]] = None
     arm_length: Optional[int] = None
     c: Optional[int] = None
@@ -809,10 +809,16 @@ def verify_witness(
 # ---------------------------------------------------------------------------
 
 
+def _spec_k(spec: FamilySpec) -> int:
+    """spec.k, which a family that reads k but no path lengths needs."""
+    _need(spec.k is not None, "%s needs k", spec.family)
+    return spec.k
+
+
 def _spec_bundle(spec: FamilySpec) -> Tuple[Graph, StructureWitness]:
-    """k from spec.k or the number of path lengths; a seeded spec (only a
-    ladder type reads layout_seed) is sampled."""
-    k = spec.k or len(spec.path_lengths or ())
+    """k from spec.k, else the number of path lengths; a seeded spec (only
+    a ladder type reads layout_seed) is sampled."""
+    k = len(spec.path_lengths or ()) if spec.k is None else spec.k
     if spec.layout_seed is not None:
         rng = random.Random(spec.layout_seed)
         return sampled_ladder_instance(spec.family, k, rng, lengths=spec.path_lengths)
@@ -827,7 +833,7 @@ def _spec_feral(spec: FamilySpec, paw: bool) -> Tuple[Graph, StructureWitness]:
 
 def _spec_subdivision(spec: FamilySpec) -> Tuple[Graph, StructureWitness]:
     _need(spec.base_graph is not None, "subdivision needs base_graph")
-    return subdivide(spec.base_graph, spec.k)
+    return subdivide(spec.base_graph, _spec_k(spec))
 
 
 # family -> (builder, verifier, the FamilySpec fields the builder reads); the
@@ -835,16 +841,16 @@ def _spec_subdivision(spec: FamilySpec) -> Tuple[Graph, StructureWitness]:
 FAMILIES: Dict[str, Tuple[Callable, Callable, Tuple[str, ...]]] = {
     **{fam: (_spec_bundle, _v_bundle, ("k", "path_lengths", "layout_seed") if a_end == _PATH
              else ("k", "path_lengths")) for fam, (_, _, a_end, _) in BUNDLES.items()},
-    "claw": (lambda s: claw(s.k), partial(_v_copies, paw=False), ("k",)),
-    "paw": (lambda s: paw(s.k), partial(_v_copies, paw=True), ("k",)),
+    "claw": (lambda s: claw(_spec_k(s)), partial(_v_copies, paw=False), ("k",)),
+    "paw": (lambda s: paw(_spec_k(s)), partial(_v_copies, paw=True), ("k",)),
     "long_claw": (lambda s: _long(s.arm_length, False), partial(_v_long, paw=False), ("arm_length",)),
     "long_paw": (lambda s: _long(s.arm_length, True), partial(_v_long, paw=True), ("arm_length",)),
-    "skinny_ladder": (lambda s: skinny_ladder(s.k), partial(_v_spokes, skinny=True), ("k",)),
+    "skinny_ladder": (lambda s: skinny_ladder(_spec_k(s)), partial(_v_spokes, skinny=True), ("k",)),
     "almost_skinny_ladder": (
-        lambda s: almost_skinny_ladder(s.k, s.layout_seed), partial(_v_spokes, skinny=False),
+        lambda s: almost_skinny_ladder(_spec_k(s), s.layout_seed), partial(_v_spokes, skinny=False),
         ("k", "layout_seed"),
     ),
-    "twisted_ladder": (lambda s: twisted_ladder(s.k), _v_twisted, ("k",)),
+    "twisted_ladder": (lambda s: twisted_ladder(_spec_k(s)), _v_twisted, ("k",)),
     "claw_feral": (partial(_spec_feral, paw=False), partial(_v_feral, paw=False), ("c", "arm_length")),
     "paw_feral": (partial(_spec_feral, paw=True), partial(_v_feral, paw=True), ("c", "arm_length")),
     "subdivision": (_spec_subdivision, _v_subdivision, ("k", "base_graph")),

@@ -4,8 +4,11 @@ import itertools
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from sepscope import classifier, families
-from sepscope.detectors import FOUND, UNKNOWN, find_induced_subgraph
-from sepscope.graphs import BudgetExhausted, Graph, bits, flood, mask_of, set_of
+from sepscope.detectors import (
+    ABSENT, FOUND, UNKNOWN, MinorWitness, SearchVerdict, _pattern_plan, find_induced_subgraph,
+    validate_minor_witness,
+)
+from sepscope.graphs import BudgetExhausted, Graph, bits, connected_sets, flood, mask_of, set_of
 from sepscope.separators import BranchResult, _closure_masks, _is_min_sep_in, is_minimal_separator
 
 
@@ -281,3 +284,95 @@ def branching_by_result_sets(g: Graph, k: int, *, budget: int = 2_000_000) -> Br
         states=len(memo),
         complete=not truncated,
     )
+
+
+def induced_minor_unpruned(g: Graph, h: Graph, *, budget: int = 2_000_000) -> SearchVerdict:
+    """find_induced_minor without its free-neighbour count prune: the
+    reference the pruned search is held to.
+
+    Exact induced-minor test by branch-set growth.
+
+    Assigns each h-vertex a connected branch set, pairwise disjoint, with
+    edges between sets exactly where h has edges; unassigned g-vertices are
+    deleted.  A branch set is drawn from the allowed region: the g-vertices
+    in no earlier set and next to no earlier set of an h-non-neighbour.
+    Three prunes cut the search, none of which loses a model:
+
+    - Connectivity order: h-vertices are placed most placed h-neighbours
+      first, then higher degree, then lower id (find_induced_subgraph's
+      order).  Every vertex after the first of its h-component then has a
+      placed h-neighbour.
+    - Anchored branch sets: a set must touch the set B_t of each placed
+      h-neighbour t, so it meets N(B_t) for the t whose allowed part of
+      N(B_t) is smallest; only the connected sets meeting that part are
+      enumerated, each once, rather than every connected set of the region.
+    - Twin symmetry: when h-vertices u and t are twins (N(u) - t = N(t) - u,
+      true or false), swapping their branch sets maps a model to a model.
+      Twinship is an equivalence (no vertex has both a true and a false
+      twin), and any permutation of a twin class is an automorphism, so
+      every model can have its sets reordered within each class by their
+      lowest g-vertex.  Hence u's set must start above the lowest vertex of
+      the set of the twin placed just before it.
+
+    Every branch set tried costs one node of the budget.
+    """
+    if h.n == 0:
+        return SearchVerdict(FOUND, MinorWitness(()), 0)
+    if h.n > g.n:
+        return SearchVerdict(ABSENT, None, 0)
+    hn, hnbr, gnbr = h.n, h._nbr, g._nbr
+    order, steps = _pattern_plan(hnbr)
+    # per depth: earlier depths adjacent, earlier depths not adjacent, and
+    # the latest earlier depth holding a twin (-1 for none)
+    plan = []
+    for d, (_, adj, non) in enumerate(steps):
+        u = order[d]
+        twin = next(
+            (j for j in range(d - 1, -1, -1)
+             if hnbr[u] & ~(1 << order[j]) == hnbr[order[j]] & ~(1 << u)),
+            -1,
+        )
+        plan.append((adj, non, twin))
+    sets = [0] * hn  # branch set per depth
+    nbhd = [0] * hn  # its neighbourhood
+    nodes = 0
+
+    def rec(d: int, free: int) -> bool:
+        nonlocal nodes
+        if d == hn:
+            return True
+        adj, non, twin = plan[d]
+        if free.bit_count() < hn - d:
+            return False
+        allowed = free
+        for j in non:
+            allowed &= ~nbhd[j]
+        if twin >= 0:
+            low = sets[twin] & -sets[twin]
+            allowed &= ~((low << 1) - 1)
+        needs = [nbhd[j] for j in adj]
+        anchors = min((r & allowed for r in needs), key=int.bit_count) if needs else allowed
+        for s, reach in connected_sets(gnbr, allowed, anchors):
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExhausted
+            if any(not (r & s) for r in needs):
+                continue
+            sets[d] = s
+            nbhd[d] = reach & ~s
+            # only u is confined to allowed; later sets draw from free again
+            if rec(d + 1, free & ~s):
+                return True
+        return False
+
+    try:
+        got = rec(0, g.full_mask())
+    except BudgetExhausted:
+        return SearchVerdict(UNKNOWN, None, nodes)
+    if not got:
+        return SearchVerdict(ABSENT, None, nodes)
+    w = MinorWitness(tuple(sorted((u, set_of(sets[d])) for d, u in enumerate(order))))
+    bad = validate_minor_witness(g, h, w)
+    if bad:
+        raise AssertionError(f"search produced invalid minor witness: {bad}")
+    return SearchVerdict(FOUND, w, nodes)

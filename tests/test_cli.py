@@ -59,8 +59,9 @@ def test_gen_rejects_a_length_list_of_another_size_than_k(tmp_path, capsys, monk
         code, _, err = run(capsys, "gen", fam, "--k", "3", "--len", lengths)
         assert code == 2 and "one length per path" in err, err
     # without --k the list sets the number of paths
-    code, _, _ = run(capsys, "gen", "theta", "--len", "4,4,4,4", "--out", "t")
-    assert code == 0 and parse_edge_list((tmp_path / "t.el").read_text()).n == 10
+    code, _, _ = run(capsys, "gen", "theta", "--len", "4,4,4", "--out", "t")
+    assert code == 0 and parse_edge_list((tmp_path / "t.el").read_text()).n == 8
+    assert json.loads((tmp_path / "t.witness.json").read_text())["params"]["k"] is None
 
 
 @pytest.mark.parametrize("fam, lengths", [
@@ -96,11 +97,16 @@ def test_gen_subdivision_round_trips_through_verify_witness(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (("twisted-ladder", "--k", "2", "--len", "9,9", "--arm", "4", "--c", "3"),
-     "twisted_ladder does not take path_lengths, arm_length, c"),
-    (("theta", "--k", "3", "--seed", "5"), "theta does not take layout_seed"),
-    (("theta", "{base}", "--k", "3"), "theta does not take base_graph"),
-    (("subdivision", "--k", "2"), "subdivision needs base_graph"),
-    (("long-claw", "--k", "3"), "long_claw does not take k"),
+     "twisted_ladder does not take --len, --arm, --c"),
+    (("theta", "--k", "3", "--seed", "5"), "theta does not take --seed"),
+    (("theta", "{base}", "--k", "3"), "theta does not take a base graph file"),
+    (("subdivision", "--k", "2"), "subdivision needs a base graph file"),
+    (("long-claw", "--k", "3"), "long_claw does not take --k"),
+    (("claw-feral", "--c", "2", "--len", "3"), "claw_feral does not take --len"),
+    # --k 0 is a k, not an absent --k
+    (("long-claw", "--k", "0", "--arm", "3"), "long_claw does not take --k"),
+    (("claw",), "claw needs --k"),
+    (("subdivision", "{base}"), "subdivision needs --k"),
 ])
 def test_gen_rejects_an_option_the_family_does_not_read(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -336,6 +342,14 @@ P4 = "4 3\n0 1\n1 2\n2 3\n"
     (P4, ("detect", "creature", "{el}"), "detect creature needs --k"),
     (P4, ("detect", "cycle", "{el}"), "detect cycle needs --r"),
     (P4, ("classify", "{el}"), "not a directory: {el}"),
+    # an option the kind or route does not read
+    (P4, ("detect", "subgraph", "{el}", "{el}", "--k", "3", "--r", "9"), "detect subgraph does not take --k, --r"),
+    (P4, ("detect", "minor", "{el}", "{el}", "--r", "3"), "detect minor does not take --r"),
+    (P4, ("detect", "creature", "{el}", "{el}", "--k", "1"),
+     "detect creature does not take a pattern graph file"),
+    (P4, ("detect", "cycle", "{el}", "--r", "4", "--k", "2"), "detect cycle does not take --k"),
+    (P4, ("enum", "{el}", "--algo", "closure", "--k", "3"), "enum --algo closure does not take --k"),
+    (P4, ("enum", "{el}", "--algo", "oracle", "--k", "1"), "enum --algo oracle does not take --k"),
 ])
 def test_malformed_input_exits_2_with_its_message(tmp_path, capsys, text, argv, message):
     el = write(tmp_path, "g.el", text)

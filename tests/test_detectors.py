@@ -34,7 +34,7 @@ from sepscope.families import (
 )
 from sepscope.graphs import Graph
 
-from oracles import canonical_form, contract_edge, delete_vertex
+from oracles import canonical_form, contract_edge, delete_vertex, induced_minor_unpruned
 
 
 def path(n):
@@ -475,14 +475,14 @@ def test_minor_routes_agree_on_small_graphs():
 # the eight patterns absent as induced minors of twisted_ladder(1), with the
 # nodes each proof takes: K4, and seven dense 5-vertex graphs up to K5
 ABSENT_MINOR_PROOFS = [
-    (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], 3638),
-    (5, [(0, 2), (0, 4), (1, 3), (1, 4), (2, 4), (3, 4)], 9704),
-    (5, [(0, 2), (0, 3), (0, 4), (1, 4), (2, 3), (2, 4), (3, 4)], 8316),
-    (5, [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)], 7439),
-    (5, [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)], 6964),
-    (5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 4), (3, 4)], 14703),
-    (5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)], 3686),
-    (5, [(u, v) for u in range(5) for v in range(u + 1, 5)], 3325),
+    (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], 2562),
+    (5, [(0, 2), (0, 4), (1, 3), (1, 4), (2, 4), (3, 4)], 3261),
+    (5, [(0, 2), (0, 3), (0, 4), (1, 4), (2, 3), (2, 4), (3, 4)], 2351),
+    (5, [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)], 4597),
+    (5, [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)], 1299),
+    (5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 4), (3, 4)], 3414),
+    (5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)], 1165),
+    (5, [(u, v) for u in range(5) for v in range(u + 1, 5)], 1161),
 ]
 
 
@@ -494,12 +494,62 @@ def test_absent_minor_proofs_on_twisted_ladder_1_are_pinned():
 
 
 def test_minor_budget_edge_on_a_twin_pattern():
-    # every vertex of K5 is a twin of every other
+    # each of the eight patterns has twins (every vertex of K4 and K5 is a
+    # twin of every other); its pinned proof fits its own node count exactly
     g, _ = twisted_ladder(1)
-    nodes = find_induced_minor(g, complete(5)).nodes_explored
-    assert find_induced_minor(g, complete(5), budget=nodes).status == ABSENT
-    edge = find_induced_minor(g, complete(5), budget=nodes - 1)
-    assert (edge.status, edge.witness, edge.nodes_explored) == (UNKNOWN, None, nodes)
+    for n, edges, nodes in ABSENT_MINOR_PROOFS:
+        h = Graph(n, edges)
+        assert find_induced_minor(g, h, budget=nodes).status == ABSENT, edges
+        edge = find_induced_minor(g, h, budget=nodes - 1)
+        assert (edge.status, edge.witness, edge.nodes_explored) == (UNKNOWN, None, nodes), edges
+
+
+def random_minor_pattern(rng):
+    """A pattern on 1-6 vertices: a G(n, p), a blow-up of a graph on 1-3
+    vertices into classes of true or false twins, or the disjoint union of
+    two graphs on 1-3 vertices."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return erdos_renyi(rng.randint(1, 6), rng.choice((0.3, 0.5, 0.8)), rng)
+    if kind == 1:
+        base = erdos_renyi(rng.randint(1, 3), 0.6, rng)
+        classes, n = [], 0
+        for _ in range(base.n):
+            size = rng.randint(1, 6 // base.n)
+            classes.append((range(n, n + size), rng.random() < 0.5))
+            n += size
+        edges = [(u, v) for c, true_twins in classes if true_twins
+                 for u, v in itertools.combinations(c, 2)]
+        edges += [(u, v) for i, j in base.edges() for u in classes[i][0] for v in classes[j][0]]
+        return Graph(n, edges)
+    a = erdos_renyi(rng.randint(1, 3), 0.6, rng)
+    b = erdos_renyi(rng.randint(1, 3), 0.6, rng)
+    return Graph(a.n + b.n, a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()])
+
+
+def test_minor_count_prune_keeps_every_verdict_and_witness():
+    # the free-neighbour count prune only cuts subtrees without a model, in
+    # the same depth-first order: every pair the unpruned search decides
+    # within the budget gets the same status and branch sets, in no more
+    # nodes; a prune that asks for one vertex too many, or that also keeps
+    # the next-to-B_j vertices out for placed h-neighbours j, fails this
+    rng = random.Random(29)
+    budget = 10_000
+    tally = {FOUND: 0, ABSENT: 0, UNKNOWN: 0}
+    saved = 0
+    for _ in range(1000):
+        g = erdos_renyi(rng.randint(3, 11), rng.choice((0.25, 0.4, 0.55, 0.7)), rng)
+        h = random_minor_pattern(rng)
+        ref = induced_minor_unpruned(g, h, budget=budget)
+        tally[ref.status] += 1
+        if ref.status == UNKNOWN:
+            continue
+        got = find_induced_minor(g, h, budget=budget)
+        assert (got.status, got.witness) == (ref.status, ref.witness), (g.edges(), h.edges())
+        assert got.nodes_explored <= ref.nodes_explored, (g.edges(), h.edges())
+        saved += ref.nodes_explored - got.nodes_explored
+    assert tally == {FOUND: 540, ABSENT: 396, UNKNOWN: 64}
+    assert saved > 0
 
 
 def test_minor_cap():
