@@ -345,7 +345,7 @@ def cmd_classify(args) -> int:
     try:
         verdict = classify(ForbiddenFamily(members), k_max=args.kmax, seed=args.seed, budget=budget)
     except ValueError as exc:
-        raise CliError(str(exc))
+        raise CliError(str(exc).replace("k_max", "--kmax"))
     elapsed = int((time.monotonic() - started) * 1000)
     report = _report(
         "classify", inputs,

@@ -291,7 +291,7 @@ def sampled_ladder_instance(
 def _long(arm: Optional[int], paw: bool) -> Tuple[Graph, StructureWitness]:
     """A long paw (triangle) or long claw (center) with three arm paths of
     `arm` vertices each from it; a long claw has 3*arm - 2 vertices."""
-    _need(arm is not None and arm >= 2, "%s needs arm length >= 2", "long_paw" if paw else "long_claw")
+    _need(arm is not None and arm >= 2, "%s needs arm_length >= 2", "long_paw" if paw else "long_claw")
     b = _Builder()
     starts, arms = b.long(arm, paw)
     w = StructureWitness({"triangle": tuple(starts)} if paw else {"v": (starts[0],)})
@@ -445,8 +445,9 @@ def twisted_choice_separators(k: int, w: StructureWitness) -> List[VertexSet]:
 
 
 def _feral(c: int, h: int, paw_nodes: bool) -> Tuple[Graph, StructureWitness]:
-    _need(c >= 1, "feral construction needs c >= 1")
-    _need(h >= 3, "feral construction needs arm length >= 3")
+    fam = "paw_feral" if paw_nodes else "claw_feral"
+    _need(c >= 1, "%s needs c >= 1", fam)
+    _need(h >= 3, "%s needs arm_length >= 3", fam)
     b = _Builder()
     w = StructureWitness()
     for t in (1, 2):
@@ -507,15 +508,15 @@ def feral_choice_separators(c: int, w: StructureWitness) -> List[VertexSet]:
 # ---------------------------------------------------------------------------
 
 
-def subdivide(g: Graph, f: int) -> Tuple[Graph, StructureWitness]:
-    """Replace each edge u < v by a path P_u_v on f+1 edges (f new internal
+def subdivide(g: Graph, k: int) -> Tuple[Graph, StructureWitness]:
+    """Replace each edge u < v by a path P_u_v on k+1 edges (k new internal
     vertices); the base role keeps g's vertices."""
-    _need(f >= 0, "f must be nonnegative")
+    _need(k >= 0, "subdivision needs k >= 0")
     b = _Builder()
     b.count = g.n
     w = StructureWitness({"base": tuple(range(g.n))})
     for u, v in sorted(g.edges()):
-        w.role_map[f"P_{u}_{v}"] = tuple(b.path(f + 2, first=u, last=v))
+        w.role_map[f"P_{u}_{v}"] = tuple(b.path(k + 2, first=u, last=v))
     return b.graph(), w
 
 

@@ -9,10 +9,12 @@ Three independent enumeration routes live here:
 * enumerate_oracle: brute force over every connected vertex set, reading
   each one's neighbourhood off its vertices' masks, with no flood and no
   pruning; the reference the other routes are judged against.
-* enumerate_closure: seed with neighborhoods of components around each
-  closed vertex neighborhood, then close under the separator expansion step
-  (Berry, Bordat and Cogis, IJFCS 2000), on G with each run of four or more
-  degree-2 vertices cut to three and the separators slid back along it.
+* enumerate_closure: the plain seed-and-expand closure of Berry, Bordat
+  and Cogis (IJFCS 2000): seed with neighborhoods of components around each
+  closed vertex neighborhood, then close under the separator expansion
+  step, keeping only the separators found.  It runs on G with each run of
+  four or more degree-2 vertices cut to three and the separators slid back
+  along it.
 * enumerate_branching: the recursive trace-guided branching procedure for
   graphs whose minimal separators are dominated by k vertices.  Returns a
   superset before filtering; the filtered view equals the oracle on inputs
@@ -125,121 +127,44 @@ def enumerate_oracle(g: Graph, *, budget: int = 2_000_000) -> List[VertexSet]:
 
 
 def _closure_masks(nbr: Sequence[int], wmask: int, budget: int) -> Set[int]:
-    """Minimal separator masks of the graph induced on wmask, by closure.
+    """Minimal separator masks of the graph induced on wmask, by the
+    seed-and-expand closure of Berry, Bordat and Cogis (IJFCS 2000).
 
     Seeds: N(C) for every component C of G[W] - N[v], every v in W.
     Expansion: for a found separator S and x in S, every N(C) for C a
-    component of G[W] - (S + N[x]).  Neighbourhoods are taken in G[W].
+    component of G[W] - (S + N(x)).  Neighbourhoods are taken in G[W].  One
+    work stack holds the regions still to split into components; each
+    nonempty N(C) not found yet is a new separator and pushes its |S|
+    expansion regions.
 
-    Each candidate S = N(C) is carried with the component C that produced
-    it, an S-full component of G[W] - S; by the theorem of Berry, Bordat
-    and Cogis every nonempty candidate is a minimal separator.  So S is
-    certified by a flood of G[W] - S - C that finds a second S-full
-    component, and C is not flooded again.  The components are kept with S
-    until S is expanded; they are all of G[W] - (S + N[x]) once N(x) is
-    removed from each, so the expansion floods no more than those pieces:
+    1. Every nonempty candidate is a minimal separator of G[W].  For a seed,
+       S = N(C) lies in N(v), so C and the component of v are two S-full
+       components of G[W] - S.  For an expansion it is the theorem of Berry,
+       Bordat and Cogis, on the component of G[W] that holds S and C.
+    2. The closure is complete on a disconnected G[W] as well.  A minimal
+       separator's two full components are next to all of it, so it lies in
+       one component K of G[W] and is a minimal separator of G[K].  Inside K
+       the seeds and expansions are those of the closure of G[K], which finds
+       every minimal separator of G[K] by the same theorem; the other
+       components of G[W] have empty neighbourhoods and offer nothing.
 
-    * a component D that is not S-full only offers N(D).  That set is a
-      minimal separator with D as a full component (an S-full component
-      avoids N(D) and is adjacent to all of it), so D - N(x) for x in N(D)
-      is reached when N(D) itself is expanded.
-    * for an S-full D, let P = D - N(x) and H = D & N(x).  Every component
-      of P has a vertex adjacent to H, because D is connected.  So P is
-      flooded from those vertices until one is left, and the rest of P is
-      one component, whose N lies in S + H and is read off the vertices'
-      masks without a flood.  In particular P is not flooded at all when
-      only one of its vertices is adjacent to H.
-    * a component of P that is one vertex z offers no new candidate.  Every
-      D-neighbour of z lies in N(x).  Let D' be another S-full component:
-      x is next to D', and N[z] misses both, so the component C of
-      G[W] - N[z] holding x contains D'.  Then N(C) = N(z), as each
-      S-vertex next to z is next to D' and each other one is next to x;
-      the seed at v = z tried N(C) before any expansion.
-
-    Candidates already tried are skipped.  The budget counts
-    separators certified; certifying one more raises BudgetExhausted.
+    The budget counts separators found; finding one more raises
+    BudgetExhausted.
     """
     found: Set[int] = set()
-    seen = {0}
-    stack: List[Tuple[int, List[int], List[Tuple[int, int]]]] = []
-    pending: List[Tuple[int, int]] = []  # (N(C), C)
-    vs = wmask
-    while vs:
-        vb = vs & -vs
-        vs ^= vb
-        r = wmask & ~(nbr[vb.bit_length() - 1] | vb)
+    regions = [wmask & ~(nbr[v] | 1 << v) for v in bits(wmask)]
+    while regions:
+        r = regions.pop()
         while r:
             comp, reach = flood(nbr, r & -r, r)
             r &= ~comp
-            cand = reach & wmask & ~comp
-            if cand not in seen:
-                pending.append((cand, comp))
-    while True:
-        for smask, c in pending:
-            if smask in seen:
-                continue
-            seen.add(smask)
-            n_full = 1
-            wide = [c] if c & (c - 1) else []  # S-full components, two or more vertices
-            partial = []  # (N(D), D) for the components D that are not S-full
-            r = wmask & ~smask & ~c
-            while r:
-                comp, reach = flood(nbr, r & -r, r)
-                r &= ~comp
-                nd = reach & wmask & ~comp
-                if nd != smask:
-                    partial.append((nd, comp))
-                    continue
-                n_full += 1
-                if comp & (comp - 1):
-                    wide.append(comp)
-            if n_full >= 2:
+            smask = reach & wmask & ~comp
+            if smask and smask not in found:
                 if len(found) == budget:
-                    raise BudgetExhausted(f"closure certified more than {budget} separators")
+                    raise BudgetExhausted(f"closure found more than {budget} separators")
                 found.add(smask)
-                stack.append((smask, wide, partial))
-        if not stack:
-            return found
-        smask, wide, pending = stack.pop()
-        if not wide:
-            continue  # a single-vertex D lies inside N(x) for every x in S
-        sverts = []
-        xs = smask
-        while xs:
-            xb = xs & -xs
-            sverts.append((xb, nbr[xb.bit_length() - 1]))
-            xs ^= xb
-        for _, nx in sverts:
-            for d in wide:
-                p = d & ~nx
-                if not p & (p - 1):
-                    continue  # at most one vertex, so no new candidate (see above)
-                h = d & nx
-                if h & (h - 1):
-                    near = 0
-                    hs = h
-                    while hs:
-                        hb = hs & -hs
-                        near |= nbr[hb.bit_length() - 1]
-                        hs ^= hb
-                    near &= p
-                else:
-                    near = nbr[h.bit_length() - 1] & p
-                while near & (near - 1):
-                    comp, reach = flood(nbr, near & -near, p)
-                    p &= ~comp
-                    near &= ~comp
-                    cand = reach & wmask & ~comp
-                    if cand not in seen:
-                        pending.append((cand, comp))
-                if p & (p - 1):
-                    # the last component; only its vertex in near touches H
-                    cand = nbr[near.bit_length() - 1] & h
-                    for vb, nv in sverts:
-                        if nv & p:
-                            cand |= vb
-                    if cand not in seen:
-                        pending.append((cand, p))
+                regions += [wmask & ~smask & ~nbr[x] for x in bits(smask)]
+    return found
 
 
 def enumerate_closure(g: Graph, *, budget: int = 2_000_000) -> List[VertexSet]:

@@ -311,7 +311,7 @@ def test_classify_rejects_kmax_below_three(tmp_path, capsys):
     d.mkdir()
     (d / "p3.el").write_text("3 2\n0 1\n1 2\n")
     code, _, err = run(capsys, "classify", str(d), "--kmax", "2")
-    assert code == 2 and "k_max must be at least 3" in err
+    assert code == 2 and "--kmax must be at least 3" in err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -320,10 +320,19 @@ def test_classify_rejects_kmax_below_three(tmp_path, capsys):
     (("detect", "cycle", "{p4}", "--r", "2"), "cycles need at least 3 vertices"),
     (("enum", "{p4}", "--budget", "-1"), "--budget must be nonnegative"),
     (("detect", "subgraph", "{p4}", "{p4}", "--budget", "-5"), "--budget must be nonnegative"),
+    # range errors name the family and the option as typed
+    (("gen", "long-claw"), "long_claw needs --arm >= 2"),
+    (("gen", "claw-feral", "--c", "1", "--arm", "2"), "claw_feral needs --arm >= 3"),
+    (("gen", "paw-feral", "--c", "0"), "paw_feral needs --c >= 1"),
+    (("gen", "subdivision", "{p4}", "--k", "-1"), "subdivision needs --k >= 0"),
+    (("classify", "{fam}", "--kmax", "2"), "--kmax must be at least 3"),
 ])
-def test_out_of_range_options_exit_2(tmp_path, capsys, argv, message):
-    p4 = write(tmp_path, "p4.el", "4 3\n0 1\n1 2\n2 3\n")
-    code, out, err = run(capsys, *(a.format(p4=p4) for a in argv))
+def test_out_of_range_options_exit_2(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    fam = tmp_path / "fam"
+    fam.mkdir()
+    p4 = write(fam, "p4.el", "4 3\n0 1\n1 2\n2 3\n")
+    code, out, err = run(capsys, *(a.format(p4=p4, fam=fam) for a in argv))
     assert (code, out) == (2, "") and f"error: {message}" in err, err
 
 

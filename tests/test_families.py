@@ -197,7 +197,7 @@ def test_generate_names_every_field_it_rejects():
     spec = FamilySpec("twisted_ladder", k=2, path_lengths=(9, 9), arm_length=4, c=3)
     with pytest.raises(ValueError, match="^twisted_ladder does not take path_lengths, arm_length, c$"):
         generate(spec)
-    with pytest.raises(ValueError, match="^long_claw needs arm length >= 2$"):
+    with pytest.raises(ValueError, match="^long_claw needs arm_length >= 2$"):
         generate(FamilySpec("long_claw"))
 
 
